@@ -15,7 +15,6 @@ from .boosts import (
     coplanar,
     gamma_factor,
     relative_acceleration,
-    relative_velocities_collinear,
     relative_velocity,
     rotation_angle_axis,
     thomas_rotation_discrete,
@@ -130,7 +129,6 @@ __all__ = [
     "proper_time_of_frame_time",
     "rate_components",
     "relative_acceleration",
-    "relative_velocities_collinear",
     "relative_velocity",
     "rotation_angle_axis",
     "thomas_rotation_circular",

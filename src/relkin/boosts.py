@@ -23,7 +23,6 @@ from .minkowski import (
     _mdot,
     lorentz_dot,
     orthonormal_spatial_frame,
-    wedge,
 )
 
 
@@ -163,8 +162,9 @@ def rotation_angle_axis(
     if 0.5 * wnorm < TOL.degenerate_angle and cos_t > 0.0:
         return math.asin(min(0.5 * wnorm, 1.0)), None
     if cos_t < -0.999:
-        # near pi the axial part vanishes; use the eigenvector route
-        b = m + np.eye(3)
+        # near pi the axial part vanishes; use the eigenvector route on the
+        # symmetric part, which is (1 - cos) a a^T once cos I is removed
+        b = 0.5 * (m + m.T) - cos_t * np.eye(3)
         col = int(np.argmax(np.sum(b * b, axis=0)))
         a = b[:, col]
         a = a / np.linalg.norm(a)
@@ -195,23 +195,3 @@ def coplanar(
     sv = np.linalg.svd(cols, compute_uv=False)
     return bool(sv[-1] < tol * sv[0])
 
-
-def relative_velocities_collinear(
-    u: AbsoluteVelocity,
-    u1: AbsoluteVelocity,
-    u2: AbsoluteVelocity,
-    tol: float | None = None,
-) -> bool:
-    """Collinearity of the relative velocities of u1 and u2 in frame ``u``.
-
-    Equivalent to :func:`coplanar` in exact arithmetic; the rank test is
-    authoritative where the two disagree at tolerance edges.
-    """
-    tol = TOL.rank if tol is None else tol
-    v1 = relative_velocity(u, u1)
-    v2 = relative_velocity(u, u2)
-    n1, n2 = v1.norm(), v2.norm()
-    if n1 < tol or n2 < tol:
-        return True
-    span = float(np.max(np.abs(wedge(v1, v2).matrix)))
-    return span <= tol * n1 * n2

@@ -29,7 +29,6 @@ from .boosts import (
     rotation_angle_axis,
     thomas_rotation_discrete,
 )
-from .config import TOL
 from .errors import ConstraintViolation, DriftViolation, ScenarioError
 from .minkowski import (
     AbsoluteVelocity,
@@ -118,14 +117,19 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _positive_finite(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"field '{name}' must be a number") from exc
+    if not (math.isfinite(x) and x > 0.0):
+        raise ConstraintViolation(f"{name} must be positive and finite, got {x}")
+    return x
+
+
 def _optional_step(cfg: dict, override: float | None) -> float | None:
     step = override if override is not None else cfg.get("step")
-    if step is None:
-        return None
-    step = float(step)
-    if step <= 0.0:
-        raise ConstraintViolation(f"integration step must be positive, got {step}")
-    return step
+    return None if step is None else _positive_finite(step, "step")
 
 
 def _circular_from(cfg: dict) -> CircularWorldLine:
@@ -179,7 +183,7 @@ def _axis_text(axis: FourVector | None) -> str:
     return " ".join(_fmt(c) for c in axis.components)
 
 
-def _run_boost_compose(cfg: dict, out_path: Path, step: float | None) -> Path:
+def _run_boost_compose(cfg: dict, out_path: Path, step: float | None, tol: float | None) -> Path:
     u = AbsoluteVelocity.rest()
     u1 = _velocity_from_3(_require(cfg, "velocity1", "boost-compose"), "velocity1")
     u2 = _velocity_from_3(_require(cfg, "velocity2", "boost-compose"), "velocity2")
@@ -196,7 +200,7 @@ def _run_boost_compose(cfg: dict, out_path: Path, step: float | None) -> Path:
     )
 
 
-def _run_circular_thomas(cfg: dict, out_path: Path, step: float | None) -> Path:
+def _run_circular_thomas(cfg: dict, out_path: Path, step: float | None, tol: float | None) -> Path:
     line = _circular_from(cfg)
     exact = circular_thomas_angle(line)
     operator_angle, axis = rotation_angle_axis(thomas_rotation_circular(line))
@@ -219,7 +223,7 @@ def _run_circular_thomas(cfg: dict, out_path: Path, step: float | None) -> Path:
     )
 
 
-def _run_transport(cfg: dict, out_path: Path, step: float | None) -> Path:
+def _run_transport(cfg: dict, out_path: Path, step: float | None, tol: float | None) -> Path:
     line = _worldline_from(_require(cfg, "worldline", "transport"))
     s_min = float(_require(cfg, "s_min", "transport"))
     s_max = float(_require(cfg, "s_max", "transport"))
@@ -229,7 +233,7 @@ def _run_transport(cfg: dict, out_path: Path, step: float | None) -> Path:
     z0 = _gyro_vector(cfg, line, s_min)
     norm0 = z0.norm()
     ss = np.linspace(s_min, s_max, n)
-    states = transport_path(line, z0, ss, s_start=s_min, step=_optional_step(cfg, step))
+    states = transport_path(line, z0, ss, s_start=s_min, step=step, tol_drift=tol)
     rows = []
     for state in states:
         rdot = line.velocity(state.s)
@@ -244,7 +248,7 @@ def _run_transport(cfg: dict, out_path: Path, step: float | None) -> Path:
     return emit_csv(["s", "zt", "zx", "zy", "zz", "vel_dot_z", "mag_drift"], rows, out_path)
 
 
-def _run_precess(cfg: dict, out_path: Path, step: float | None) -> Path:
+def _run_precess(cfg: dict, out_path: Path, step: float | None, tol: float | None) -> Path:
     line = _worldline_from(_require(cfg, "worldline", "precess"))
     frame_cfg = _require(cfg, "frame", "precess")
     if frame_cfg == "center":
@@ -262,7 +266,7 @@ def _run_precess(cfg: dict, out_path: Path, step: float | None) -> Path:
     n = _positive_int(_require(cfg, "n_points", "precess"), "n_points")
     z0 = _gyro_vector(cfg, line, 0.0)
     t_grid = np.linspace(t_min, t_max, n)
-    samples = precession_series(u, line, z0, t_grid, step=_optional_step(cfg, step))
+    samples = precession_series(u, line, z0, t_grid, step=step, tol_drift=tol)
     frame = orthonormal_spatial_frame(u)
     rows = []
     for sample in samples:
@@ -310,26 +314,20 @@ def run_scenario(
 
     Returns the output path.  ``out_dir`` falls back to the RELKIN_OUT
     environment variable and then to the working directory; ``step``
-    overrides any step given in the scenario; ``tol`` replaces the drift
-    tolerance for this run.
+    overrides any step given in the scenario; ``tol`` is the drift
+    tolerance of the transport and precess integrations (default
+    ``TOL.drift``).  Both must be positive and finite.
     """
     path = Path(path)
     cfg = _load_scenario(path)
+    step = _optional_step(cfg, step)
+    tol = None if tol is None else _positive_finite(tol, "tolerance")
     runner, suffix = _RUNNERS[cfg["kind"]]
     if out_dir is None:
         out_dir = os.environ.get(_ENV_OUT) or os.getcwd()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / (path.stem + suffix)
-    old_drift = TOL.drift
-    if tol is not None:
-        if tol <= 0.0:
-            raise ConstraintViolation("tolerance must be positive")
-        TOL.drift = tol
-    try:
-        return runner(cfg, out_path, step)
-    finally:
-        TOL.drift = old_drift
+    return runner(cfg, out_dir / (path.stem + suffix), step, tol)
 
 
 def selftest() -> int:

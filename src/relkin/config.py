@@ -2,8 +2,9 @@
 
 Every check in the package accepts an explicit tolerance argument; when it
 is omitted the check falls back to the corresponding field of the
-module-level ``TOL`` instance.  Embedding applications may mutate ``TOL``
-(the CLI does this for ``--tol``).
+module-level ``TOL`` instance.  The package never assigns to ``TOL``: the
+CLI passes ``--tol`` down as an argument, so concurrent runs with
+different tolerances do not interfere.
 """
 from dataclasses import dataclass
 

@@ -89,11 +89,13 @@ def precession_series(
     z0: FourVector,
     t_grid,
     step: float | None = None,
+    tol_drift: float | None = None,
 ) -> list[PrecessionSample]:
     """Observe a numerically transported gyroscope on a grid of frame times.
 
     ``z0`` must be gyroscopic at proper time 0.  One sequential transport
-    pass covers the grid; each sample then gets the boosted vector and the
+    pass covers the grid (``step`` and ``tol_drift`` as in
+    :func:`transport_path`); each sample then gets the boosted vector and the
     rate built from the relative velocity and acceleration at that
     instant.  Interior samples also carry the centered difference of the
     observed vector, so the precession law can be checked against the
@@ -105,7 +107,7 @@ def precession_series(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ConstraintViolation("frame-time grid must be strictly increasing")
     ss = [proper_time_of_frame_time(u, line, t) for t in ts]
-    states = transport_path(line, z0, ss, step=step)
+    states = transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
     samples = []
     for t, state in zip(ts, states):
         rdot = line.velocity(state.s)

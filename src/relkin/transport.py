@@ -26,7 +26,6 @@ from .minkowski import (
     FourVector,
     LorentzMap,
     _mdot,
-    lorentz_dot,
     wedge,
 )
 from .worldlines import CircularWorldLine, WorldLine
@@ -54,14 +53,13 @@ class TransportOperator(LorentzMap):
 
 def fermi_walker_derivative(line: WorldLine, s: float, z: FourVector) -> FourVector:
     """Right-hand side of the transport equation at proper time ``s``."""
-    rdot, rddot = line._kinematics_arrays(float(s))
-    return FourVector(rdot * _mdot(rddot, z.components) - rddot * _mdot(rdot, z.components))
+    return FourVector(_rhs(line._kinematics_arrays(float(s)), z.components))
 
 
 def _resolve_step(line: WorldLine, s1: float, s2: float, step: float | None) -> float:
     if step is not None:
-        if step <= 0.0:
-            raise ConstraintViolation("integration step must be positive")
+        if not (math.isfinite(step) and step > 0.0):
+            raise ConstraintViolation(f"integration step must be positive and finite, got {step}")
         return float(step)
     if isinstance(line, CircularWorldLine):
         return line.proper_period / 10_000
@@ -69,32 +67,36 @@ def _resolve_step(line: WorldLine, s1: float, s2: float, step: float | None) -> 
     return span / 10_000 if span > 0.0 else 1.0
 
 
-def _rhs(rdot: np.ndarray, rddot: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _rhs(kin: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
+    rdot, rddot = kin
     return rdot * _mdot(rddot, z) - rddot * _mdot(rdot, z)
 
 
-def _rk4_vector(
-    line: WorldLine,
-    z: np.ndarray,
-    s1: float,
-    s2: float,
-    step: float,
-    norm0: float,
-    tol_drift: float,
-) -> np.ndarray:
+def _generator(kin: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    rdot, rddot = kin
+    return np.outer(rdot, METRIC @ rddot) - np.outer(rddot, METRIC @ rdot)
+
+
+def _rk4(line: WorldLine, y, s1: float, s2: float, step: float, rhs, field=None, drift=None):
     """Classical RK4 with fixed step; the final partial step is shortened.
 
-    Raises DriftViolation as soon as orthogonality to the velocity or the
-    magnitude drifts beyond ``tol_drift`` (drift is monitored, never
+    ``field`` maps each kinematics pair (velocity, acceleration) to the
+    first argument of ``rhs(field, y)``; without it ``rhs`` takes the pair.
+    With ``drift = (norm0, tol)`` the state is a gyroscopic vector and
+    DriftViolation is raised as soon as its orthogonality to the velocity
+    or its magnitude drifts beyond ``tol`` (drift is monitored, never
     silently corrected).
     """
     total = s2 - s1
     if total == 0.0:
-        return z
+        return y
     n_full = int(abs(total) // step)
     h_full = math.copysign(step, total)
     kin = line._kinematics_arrays
-    rdot_lo, rddot_lo = kin(s1)
+    at = kin if field is None else (lambda s: field(kin(s)))
+    if drift is not None:
+        norm0, tol = drift
+    f_lo = at(s1)
     s = s1
     for i in range(n_full + 1):
         if i == n_full:
@@ -103,23 +105,32 @@ def _rk4_vector(
                 break
         else:
             h = h_full
-        mid = kin(s + 0.5 * h)
-        hi = kin(s + h)
-        k1 = _rhs(rdot_lo, rddot_lo, z)
-        k2 = _rhs(mid[0], mid[1], z + (0.5 * h) * k1)
-        k3 = _rhs(mid[0], mid[1], z + (0.5 * h) * k2)
-        k4 = _rhs(hi[0], hi[1], z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        f_mid = at(s + 0.5 * h)
+        f_hi = at(s + h)
+        k1 = rhs(f_lo, y)
+        k2 = rhs(f_mid, y + (0.5 * h) * k1)
+        k3 = rhs(f_mid, y + (0.5 * h) * k2)
+        k4 = rhs(f_hi, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         s += h
-        rdot_lo, rddot_lo = hi
-        ortho = abs(_mdot(rdot_lo, z))
-        mag = abs(math.sqrt(_mdot(z, z)) - norm0)
-        if ortho > tol_drift or mag > tol_drift:
-            raise DriftViolation(
-                f"transport drift at s = {s}: velocity.z = {ortho}, |z| drift = {mag} "
-                f"(step {step} too large)"
-            )
-    return z
+        f_lo = f_hi
+        if drift is not None:
+            ortho = abs(_mdot(f_hi[0], y))
+            mag = abs(math.sqrt(_mdot(y, y)) - norm0)
+            if not (ortho <= tol and mag <= tol):
+                raise DriftViolation(
+                    f"transport drift at s = {s}: velocity.z = {ortho}, |z| drift = {mag} "
+                    f"(step {step} too large)"
+                )
+    return y
+
+
+def _require_gyroscopic(rdot: np.ndarray, z0: FourVector, where: str) -> None:
+    ortho = _mdot(rdot, z0.components)
+    if not abs(ortho) <= TOL.constraint * max(1.0, float(np.max(np.abs(z0.components)))):
+        raise ConstraintViolation(
+            f"initial vector must be orthogonal to the velocity {where}, got {ortho}"
+        )
 
 
 def transport_numeric(
@@ -136,18 +147,7 @@ def transport_numeric(
     is one ten-thousandth of the orbital period (or of the span for
     non-periodic lines); global error is fourth order in the step.
     """
-    s1, s2 = float(s1), float(s2)
-    step = _resolve_step(line, s1, s2, step)
-    tol_drift = TOL.drift if tol_drift is None else tol_drift
-    rdot1, _ = line._kinematics_arrays(s1)
-    ortho = _mdot(rdot1, z0.components)
-    if abs(ortho) > TOL.constraint * max(1.0, float(np.max(np.abs(z0.components)))):
-        raise ConstraintViolation(
-            f"initial vector must be orthogonal to the velocity, got {ortho}"
-        )
-    norm0 = z0.norm()
-    z = _rk4_vector(line, z0.components.copy(), s1, s2, step, norm0, tol_drift)
-    return GyroState(s2, FourVector(z))
+    return transport_path(line, z0, [s2], s_start=s1, step=step, tol_drift=tol_drift)[0]
 
 
 def transport_path(
@@ -160,70 +160,27 @@ def transport_path(
 ) -> list[GyroState]:
     """Transport ``z0`` (gyroscopic at ``s_start``) to each of ``s_points``.
 
-    One sequential integration pass; the points must be ascending.
+    The points must be ascending.  One sequential integration pass runs
+    forward from ``s_start`` through the later points and one backward
+    through the earlier ones.
     """
     ss = [float(s) for s in s_points]
     if any(b < a for a, b in zip(ss, ss[1:])):
         raise ConstraintViolation("proper-time points must be ascending")
     s_start = float(s_start)
     tol_drift = TOL.drift if tol_drift is None else tol_drift
-    rdot0, _ = line._kinematics_arrays(s_start)
-    if abs(_mdot(rdot0, z0.components)) > TOL.constraint * max(
-        1.0, float(np.max(np.abs(z0.components)))
-    ):
-        raise ConstraintViolation(
-            f"initial vector must be orthogonal to the velocity at s = {s_start}"
-        )
-    norm0 = z0.norm()
+    _require_gyroscopic(line._kinematics_arrays(s_start)[0], z0, f"at s = {s_start}")
+    drift = (z0.norm(), tol_drift)
     out: list[GyroState | None] = [None] * len(ss)
     first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
-    z, cur = z0.components.copy(), s_start
-    for i in range(first_fwd, len(ss)):
-        h = _resolve_step(line, cur, ss[i], step)
-        z = _rk4_vector(line, z, cur, ss[i], h, norm0, tol_drift)
-        cur = ss[i]
-        out[i] = GyroState(cur, FourVector(z))
-    z, cur = z0.components.copy(), s_start
-    for i in range(first_fwd - 1, -1, -1):
-        h = _resolve_step(line, cur, ss[i], step)
-        z = _rk4_vector(line, z, cur, ss[i], h, norm0, tol_drift)
-        cur = ss[i]
-        out[i] = GyroState(cur, FourVector(z))
+    for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
+        z, cur = z0.components.copy(), s_start
+        for i in order:
+            h = _resolve_step(line, cur, ss[i], step)
+            z = _rk4(line, z, cur, ss[i], h, _rhs, drift=drift)
+            cur = ss[i]
+            out[i] = GyroState(cur, FourVector(z))
     return out  # type: ignore[return-value]
-
-
-def _rk4_matrix(line: WorldLine, s1: float, s2: float, step: float) -> np.ndarray:
-    total = s2 - s1
-    m = np.eye(4)
-    if total == 0.0:
-        return m
-    n_full = int(abs(total) // step)
-    h_full = math.copysign(step, total)
-
-    def gen(kin_pair):
-        rdot, rddot = kin_pair
-        return np.outer(rdot, METRIC @ rddot) - np.outer(rddot, METRIC @ rdot)
-
-    kin = line._kinematics_arrays
-    w_lo = gen(kin(s1))
-    s = s1
-    for i in range(n_full + 1):
-        if i == n_full:
-            h = s2 - s
-            if abs(h) <= 1e-15 * max(1.0, abs(s2)):
-                break
-        else:
-            h = h_full
-        w_mid = gen(kin(s + 0.5 * h))
-        w_hi = gen(kin(s + h))
-        k1 = w_lo @ m
-        k2 = w_mid @ (m + (0.5 * h) * k1)
-        k3 = w_mid @ (m + (0.5 * h) * k2)
-        k4 = w_hi @ (m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        s += h
-        w_lo = w_hi
-    return m
 
 
 def transport_operator_numeric(
@@ -241,16 +198,16 @@ def transport_operator_numeric(
     s1, s2 = float(s1), float(s2)
     tol = TOL.numeric if tol is None else tol
     step = _resolve_step(line, s1, s2, step)
-    m = _rk4_matrix(line, s1, s2, step)
+    m = _rk4(line, np.eye(4), s1, s2, step, np.matmul, field=_generator)
     form = float(np.max(np.abs(m.T @ METRIC @ m - METRIC)))
-    if form > tol:
+    if not form <= tol:
         raise DriftViolation(
             f"transport operator form error {form} exceeds {tol} (step too large)"
         )
     rdot1, _ = line._kinematics_arrays(s1)
     rdot2, _ = line._kinematics_arrays(s2)
     endpoint = float(np.max(np.abs(m @ rdot1 - rdot2)))
-    if endpoint > tol:
+    if not endpoint <= tol:
         raise DriftViolation(
             f"transport operator endpoint error {endpoint} exceeds {tol} (step too large)"
         )
@@ -290,11 +247,7 @@ def transport_circular_exact(
     factor lorentz_factor faster than proper time; numeric transport APIs
     take proper time instead.
     """
-    ortho = lorentz_dot(line.initial_velocity, z0)
-    if abs(ortho) > TOL.constraint * max(1.0, float(np.max(np.abs(z0.components)))):
-        raise ConstraintViolation(
-            f"initial vector must be orthogonal to the initial velocity, got {ortho}"
-        )
+    _require_gyroscopic(line.initial_velocity.components, z0, "at s = 0")
     t = float(t)
     gen = circular_transport_generator(line)
     spin_rate = line.lorentz_factor * line.angular_rate

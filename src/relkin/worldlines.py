@@ -241,24 +241,36 @@ class CircularWorldLine(WorldLine):
         t = float(t)
         lam2 = self.lorentz_factor ** 2
         speed2 = self.orbital_speed ** 2
-        s = t / lam2
-        for _ in range(max_newton):
-            f = self.initial_time_of_proper_time(s) - t
-            if abs(f) < residual:
-                return s
-            s -= f / (lam2 * (1.0 - speed2 * math.cos(self._phase(s))))
-        f = self.initial_time_of_proper_time(s) - t
-        lo, hi = s - abs(f), s + abs(f)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = self.initial_time_of_proper_time(mid) - t
-            if abs(fm) < residual:
-                return mid
-            if fm < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        raise ConstraintViolation(f"time inversion failed to converge for t = {t}")
+        return _invert_increasing(
+            self.initial_time_of_proper_time,
+            lambda s: lam2 * (1.0 - speed2 * math.cos(self._phase(s))),
+            t, t / lam2, residual, max_newton, "time inversion",
+        )
+
+
+def _invert_increasing(forward, slope, t, s, residual, max_newton, what):
+    """Solve forward(s) = t for a map increasing with slope at least 1.
+
+    Newton iteration from the guess ``s`` with a bisection fallback; the
+    slope bound makes |forward(s) - t| bound the error in s.
+    """
+    for _ in range(max_newton):
+        f = forward(s) - t
+        if abs(f) < residual:
+            return s
+        s -= f / slope(s)
+    f = forward(s) - t
+    lo, hi = s - abs(f), s + abs(f)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = forward(mid) - t
+        if abs(fm) < residual:
+            return mid
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise ConstraintViolation(f"{what} failed to converge for t = {t}")
 
 
 def frame_time_of_proper_time(u: AbsoluteVelocity, line: WorldLine, s: float) -> float:
@@ -287,21 +299,8 @@ def proper_time_of_frame_time(
     t = float(t)
     if t == 0.0:
         return 0.0
-    s = t
-    for _ in range(max_newton):
-        f = frame_time_of_proper_time(u, line, s) - t
-        if abs(f) < residual:
-            return s
-        s -= f / (-lorentz_dot(u, line.velocity(s)))
-    f = frame_time_of_proper_time(u, line, s) - t
-    lo, hi = s - abs(f), s + abs(f)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = frame_time_of_proper_time(u, line, mid) - t
-        if abs(fm) < residual:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConstraintViolation(f"frame-time inversion failed to converge for t = {t}")
+    return _invert_increasing(
+        lambda s: frame_time_of_proper_time(u, line, s),
+        lambda s: -lorentz_dot(u, line.velocity(s)),
+        t, t, residual, max_newton, "frame-time inversion",
+    )

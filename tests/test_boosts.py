@@ -17,13 +17,12 @@ from relkin import (
     gamma_factor,
     lorentz_dot,
     relative_acceleration,
-    relative_velocities_collinear,
     relative_velocity,
     rotation_angle_axis,
     thomas_rotation_discrete,
 )
 
-from helpers import max_abs, random_unit_vector, random_velocity
+from helpers import max_abs, random_spacelike_unit, random_unit_vector, random_velocity
 
 U_REST = AbsoluteVelocity.rest()
 U_06X = AbsoluteVelocity([1.25, 0.75, 0.0, 0.0])
@@ -200,6 +199,23 @@ class TestRotationAngleAxis:
             assert abs(angle - theta) < 1e-10
             assert max_abs(axis.components - E3.components) < 1e-6
 
+    def test_nearly_half_turn_random_axes(self):
+        # off the coordinate axes the symmetric part of the matrix must give
+        # the axis; the full matrix carries an O(sin) antisymmetric tilt
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            a = random_spacelike_unit(rng, U_REST).components[1:]
+            theta = rng.uniform(math.pi - 0.05, math.pi) * rng.choice((-1.0, 1.0))
+            if a[np.nonzero(np.abs(a) > 1e-9)[0][0]] < 0.0:
+                a, theta = -a, -theta  # the reported axis has the canonical sign
+            k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+            m = np.eye(4)
+            m[1:, 1:] = (math.cos(theta) * np.eye(3) + math.sin(theta) * k
+                         + (1.0 - math.cos(theta)) * np.outer(a, a))
+            angle, axis = rotation_angle_axis(SpatialRotation(m, U_REST))
+            assert abs(angle - theta) < 1e-10
+            assert max_abs(axis.components - np.array([0.0, *a])) < 1e-10
+
     def test_validates_input(self):
         with pytest.raises(ConstraintViolation):
             SpatialRotation(explicit_x_boost(0.6), U_REST)
@@ -231,12 +247,3 @@ class TestCoplanar:
             assert coplanar(u, u1, u2)
             angle, _ = rotation_angle_axis(thomas_rotation_discrete(u, u1, u2))
             assert abs(angle) < 1e-8
-
-    def test_agrees_with_collinearity_criterion(self):
-        rng = np.random.default_rng(27)
-        for _ in range(100):
-            u, u1, u2 = (random_velocity(rng, 0.9) for _ in range(3))
-            assert coplanar(u, u1, u2) == relative_velocities_collinear(u, u1, u2)
-        u2 = AbsoluteVelocity.from_3velocity([0.9, 0.0, 0.0])
-        assert relative_velocities_collinear(U_REST, U_06X, u2)
-        assert not relative_velocities_collinear(U_REST, U_06X, U_06Y)

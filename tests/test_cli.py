@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from relkin import TOL, CircularWorldLine, Tolerances
 from relkin.cli import emit_csv, main, run_scenario, selftest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -17,6 +18,22 @@ GOLDEN_OUTPUTS = [
     ("transport_inertial.yaml", "transport_inertial.csv"),
     ("precess_center.yaml", "precess_center.csv"),
 ]
+
+
+INERTIAL_TRANSPORT = (
+    "kind: transport\n"
+    "worldline: {type: inertial, velocity: [0.1, 0.0, 0.0]}\n"
+    "gyro: [0.0, 1.0, 0.0]\n"
+    "s_min: 0.0\ns_max: 1.0\nn_points: 2\n"
+)
+# half a revolution at speed 0.6 on a step of P/100: the drift per step
+# lies between the 1e-8 default and 1e-6
+COARSE_CIRCULAR_TRANSPORT = (
+    "kind: transport\n"
+    "worldline: {type: circular, omega: 0.6, rho: 1.0}\n"
+    "gyro: [1.0, 0.0, 0.0]\n"
+    "s_min: 0.0\ns_max: 4.18879\nn_points: 3\nstep: 0.0837758\n"
+)
 
 
 def parse_report(path: Path) -> dict:
@@ -173,6 +190,15 @@ class TestCliProcess:
         assert result.returncode == 4
         assert "error code=4 kind=drift" in result.stderr
 
+    def test_nan_step_exits_3_without_traceback(self, tmp_path):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(INERTIAL_TRANSPORT)
+        result = self.run_cli("run", str(scenario), "--out", str(tmp_path), "--step", "nan")
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            'error code=3 kind=constraint message="step must be positive and finite, got nan"'
+        ]
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELKIN_OUT", str(tmp_path / "envout"))
         out = run_scenario(SCENARIOS / "boost_perpendicular.yaml")
@@ -230,6 +256,65 @@ class TestSchemaValidation:
         )
         report = parse_report(run_scenario(scenario, out_dir=tmp_path))
         assert abs(float(report["time_dilation"]) - 1.0 / math.sqrt(1 - 0.25)) < 1e-12
+
+
+class TestStepAndTolerance:
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--step", "nan"], ""),
+            (["--step", "inf"], ""),
+            (["--tol", "nan"], ""),
+            (["--tol", "inf"], ""),
+            ([], "step: .nan\n"),
+            ([], "step: .inf\n"),
+        ],
+        ids=["step-nan", "step-inf", "tol-nan", "tol-inf", "field-nan", "field-inf"],
+    )
+    def test_non_finite_exits_3(self, tmp_path, capsys, flags, field):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(INERTIAL_TRANSPORT + field)
+        assert main(["run", str(scenario), "--out", str(tmp_path), *flags]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=3 kind=constraint")
+
+    def test_non_numeric_step_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(INERTIAL_TRANSPORT + "step: fast\n")
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error code=2 kind=parse")
+
+    def test_circular_thomas_validates_and_uses_scenario_step(self, tmp_path):
+        base = "kind: circular-thomas\nomega: 0.6\nrho: 1.0\n"
+        bad = tmp_path / "nan.yaml"
+        bad.write_text(base + "step: .nan\n")
+        assert main(["run", str(bad), "--out", str(tmp_path)]) == 3
+        coarse = tmp_path / "coarse.yaml"
+        coarse.write_text(base + "step: 0.01\n")
+        fine = tmp_path / "fine.yaml"
+        fine.write_text(base)
+        coarse_angle = parse_report(run_scenario(coarse, out_dir=tmp_path))["numeric_angle_rad"]
+        fine_angle = parse_report(run_scenario(fine, out_dir=tmp_path))["numeric_angle_rad"]
+        assert coarse_angle != fine_angle
+
+    def test_tol_sets_the_drift_bound(self, tmp_path):
+        scenario = tmp_path / "coarse.yaml"
+        scenario.write_text(COARSE_CIRCULAR_TRANSPORT)
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 4
+        assert main(["run", str(scenario), "--out", str(tmp_path), "--tol", "1e-6"]) == 0
+
+    def test_tol_is_passed_not_written_into_global(self, tmp_path, monkeypatch):
+        seen = []
+        kinematics = CircularWorldLine._kinematics_arrays
+
+        def spy(self, s):
+            seen.append(TOL.drift)
+            return kinematics(self, s)
+
+        monkeypatch.setattr(CircularWorldLine, "_kinematics_arrays", spy)
+        out = run_scenario(SCENARIOS / "precess_center.yaml", out_dir=tmp_path, tol=1e-6)
+        assert seen and set(seen) == {Tolerances().drift}
+        assert out.read_bytes() == (GOLDEN / "precess_center.csv").read_bytes()
 
 
 def test_selftest_passes(capsys):

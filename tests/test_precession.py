@@ -9,6 +9,7 @@ from relkin import (
     AbsoluteVelocity,
     CircularWorldLine,
     ConstraintViolation,
+    DriftViolation,
     FourVector,
     InertialWorldLine,
     central_frame_precession,
@@ -166,6 +167,16 @@ class TestPrecessionSeries:
             for s in samples[1:-1]
         )
         assert worst <= 1e-4 * scale
+
+    def test_forwards_tol_drift(self):
+        line = standard_line()
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        u = line.center_velocity
+        grid = np.linspace(0.0, 0.5 * line.center_period, 5)
+        step = line.proper_period / 200  # drift per step between 1e-10 and 1e-8
+        precession_series(u, line, z0, grid, step=step)
+        with pytest.raises(DriftViolation):
+            precession_series(u, line, z0, grid, step=step, tol_drift=1e-10)
 
     def test_grid_validation(self):
         line = standard_line()

@@ -43,6 +43,14 @@ def exact_z_of_s(line, z0):
     return lambda s: transport_circular_exact(line, z0, lam * s)
 
 
+class NanAccelerationLine(CircularWorldLine):
+    """Circular line whose acceleration turns NaN from proper time 1 on."""
+
+    def _kinematics_arrays(self, s):
+        rdot, rddot = CircularWorldLine._kinematics_arrays(self, s)
+        return rdot, (rddot if s < 1.0 else np.full(4, np.nan))
+
+
 class TestDerivative:
     def test_inertial_line_gives_zero(self):
         line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.4, 0.2, 0.0]))
@@ -118,6 +126,32 @@ class TestTransportNumeric:
             transport_numeric(line, z0, 0.0, 40.0 * line.proper_period,
                               step=line.proper_period / 3)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_step(self, step):
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ConstraintViolation, match="positive and finite"):
+            transport_numeric(standard_line(), z0, 0.0, 1.0, step=step)
+
+    def test_nan_state_raises_drift_at_its_step(self):
+        line = NanAccelerationLine.from_plane(0.6, 1.0)
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        # the step ending at s = 1 is the first to evaluate a NaN
+        with pytest.raises(DriftViolation, match=r"at s = 1\.0:"):
+            transport_numeric(line, z0, 0.0, 3.0, step=0.03125)
+
+    def test_tol_drift_is_the_monitor_bound(self):
+        line = standard_line()
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        period = line.proper_period
+        # drift per step at P/200 lies between 1e-10 and the 1e-8 default,
+        # at P/100 between the default and 1e-6
+        transport_path(line, z0, [period / 2], step=period / 200)
+        with pytest.raises(DriftViolation):
+            transport_path(line, z0, [period / 2], step=period / 200, tol_drift=1e-10)
+        with pytest.raises(DriftViolation):
+            transport_path(line, z0, [period / 2], step=period / 100)
+        transport_path(line, z0, [period / 2], step=period / 100, tol_drift=1e-6)
+
     def test_gyro_state_invariants_along_path(self):
         line = standard_line()
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
@@ -133,6 +167,11 @@ class TestTransportOperator:
         line = standard_line()
         op = transport_operator_numeric(line, 1.2, 1.2, step=0.01)
         assert max_abs(op.matrix - np.eye(4)) == 0.0
+
+    def test_nan_operator_raises_drift(self):
+        line = NanAccelerationLine.from_plane(0.6, 1.0)
+        with pytest.raises(DriftViolation):
+            transport_operator_numeric(line, 0.0, 3.0, step=0.03125)
 
     def test_composition(self):
         line = standard_line()
