@@ -73,7 +73,8 @@ def boost(u_to: AbsoluteVelocity, u_from: AbsoluteVelocity) -> Boost:
     """
     d = lorentz_dot(u_to, u_from)
     # future-directed velocities always satisfy u_to.u_from <= -1
-    assert d < 0.0, "velocities must be future directed"
+    if not d < 0.0:
+        raise ConstraintViolation(f"velocities must be future directed, got u_to.u_from = {d}")
     s = u_to.components + u_from.components
     m = (
         np.eye(4)

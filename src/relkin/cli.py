@@ -95,14 +95,31 @@ def _require(cfg: dict, key: str, kind: str):
     return cfg[key]
 
 
-def _vector3(value, name: str) -> np.ndarray:
+def _number(value, name: str, positive: bool = False) -> float:
+    """The one reader of scenario numbers.
+
+    A value that is not a number is a parse error (exit 2); NaN, an
+    infinity, or with ``positive`` anything not above zero violates a
+    constraint (exit 3).
+    """
+    if isinstance(value, bool):
+        raise ScenarioError(f"field '{name}' must be a number, got {value}")
     try:
-        arr = np.asarray(value, dtype=float)
+        x = float(value)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"field '{name}' must be a list of 3 numbers") from exc
-    if arr.shape != (3,):
+        raise ScenarioError(f"field '{name}' must be a number") from exc
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        need = "positive and finite" if positive else "finite"
+        raise ConstraintViolation(f"{name} must be {need}, got {x}")
+    return x
+
+
+def _vector3(value, name: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ScenarioError(f"field '{name}' must be a list of 3 numbers")
+    if len(value) != 3:
         raise ScenarioError(f"field '{name}' must have exactly 3 components")
-    return arr
+    return np.array([_number(c, f"{name}[{i}]") for i, c in enumerate(value)])
 
 
 def _velocity_from_3(value, name: str) -> AbsoluteVelocity:
@@ -117,24 +134,15 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
-def _positive_finite(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"field '{name}' must be a number") from exc
-    if not (math.isfinite(x) and x > 0.0):
-        raise ConstraintViolation(f"{name} must be positive and finite, got {x}")
-    return x
-
-
 def _optional_step(cfg: dict, override: float | None) -> float | None:
     step = override if override is not None else cfg.get("step")
-    return None if step is None else _positive_finite(step, "step")
+    return None if step is None else _number(step, "step", positive=True)
 
 
 def _circular_from(cfg: dict) -> CircularWorldLine:
-    omega = float(_require(cfg, "omega", cfg.get("kind", "circular")))
-    rho = float(_require(cfg, "rho", cfg.get("kind", "circular")))
+    kind = cfg.get("kind", "circular")
+    omega = _number(_require(cfg, "omega", kind), "omega")
+    rho = _number(_require(cfg, "rho", kind), "rho")
     center = cfg.get("center_velocity")
     uc = AbsoluteVelocity.rest() if center is None else _velocity_from_3(center, "center_velocity")
     plane_cfg = cfg.get("plane")
@@ -225,8 +233,8 @@ def _run_circular_thomas(cfg: dict, out_path: Path, step: float | None, tol: flo
 
 def _run_transport(cfg: dict, out_path: Path, step: float | None, tol: float | None) -> Path:
     line = _worldline_from(_require(cfg, "worldline", "transport"))
-    s_min = float(_require(cfg, "s_min", "transport"))
-    s_max = float(_require(cfg, "s_max", "transport"))
+    s_min = _number(_require(cfg, "s_min", "transport"), "s_min")
+    s_max = _number(_require(cfg, "s_max", "transport"), "s_max")
     if not s_max > s_min:
         raise ConstraintViolation("s_max must exceed s_min")
     n = _positive_int(_require(cfg, "n_points", "transport"), "n_points")
@@ -259,8 +267,8 @@ def _run_precess(cfg: dict, out_path: Path, step: float | None, tol: float | Non
         u = line.velocity(0.0)
     else:
         u = _velocity_from_3(frame_cfg, "frame")
-    t_min = float(_require(cfg, "t_min", "precess"))
-    t_max = float(_require(cfg, "t_max", "precess"))
+    t_min = _number(_require(cfg, "t_min", "precess"), "t_min")
+    t_max = _number(_require(cfg, "t_max", "precess"), "t_max")
     if not t_max > t_min:
         raise ConstraintViolation("t_max must exceed t_min")
     n = _positive_int(_require(cfg, "n_points", "precess"), "n_points")
@@ -321,7 +329,7 @@ def run_scenario(
     path = Path(path)
     cfg = _load_scenario(path)
     step = _optional_step(cfg, step)
-    tol = None if tol is None else _positive_finite(tol, "tolerance")
+    tol = None if tol is None else _number(tol, "tolerance", positive=True)
     runner, suffix = _RUNNERS[cfg["kind"]]
     if out_dir is None:
         out_dir = os.environ.get(_ENV_OUT) or os.getcwd()
@@ -351,24 +359,30 @@ def selftest() -> int:
         else:
             print(f"ok {label}")
 
+    def expect(ok, what: str) -> None:
+        # an explicit check, which ``python -O`` keeps (it strips assert statements)
+        if not ok:
+            raise AssertionError(what)
+
     def boost_algebra():
         for _ in range(200):
             a, b = random_velocity(), random_velocity()
             fwd, back = boost(a, b), boost(b, a)
-            assert np.max(np.abs((fwd @ back).matrix - np.eye(4))) < 1e-11
+            err = np.max(np.abs((fwd @ back).matrix - np.eye(4)))
+            expect(err < 1e-11, f"boost(b, a) @ boost(a, b) is {err} off the identity")
             x = FourVector(rng.normal(size=4))
             x = x / math.sqrt(abs(lorentz_dot(x, x))) if abs(lorentz_dot(x, x)) > 1e-9 else x
             y = FourVector(rng.normal(size=4))
-            assert abs(lorentz_dot(fwd(x), fwd(y)) - lorentz_dot(x, y)) < 1e-10 * max(
-                1.0, float(np.max(np.abs(y.components))) ** 2
-            )
+            err = abs(lorentz_dot(fwd(x), fwd(y)) - lorentz_dot(x, y))
+            bound = 1e-10 * max(1.0, float(np.max(np.abs(y.components))) ** 2)
+            expect(err < bound, f"boost changes a Lorentz product by {err}")
 
     def coplanar_identity():
         u = AbsoluteVelocity.rest()
         u1 = AbsoluteVelocity.from_3velocity([0.6, 0.0, 0.0])
         u2 = AbsoluteVelocity.from_3velocity([0.9, 0.0, 0.0])
         angle, _ = rotation_angle_axis(thomas_rotation_discrete(u, u1, u2))
-        assert abs(angle) < 1e-8
+        expect(abs(angle) < 1e-8, f"collinear chain rotates by {angle}")
 
     def circular_consistency():
         line = CircularWorldLine.from_plane(0.6, 1.0)
@@ -378,27 +392,31 @@ def selftest() -> int:
         period = line.proper_period
         numeric = transport_numeric(line, z0, 0.0, period, step=period / 2000)
         exact = transport_circular_exact(line, z0, line.lorentz_factor * period)
-        assert np.max(np.abs(numeric.z.components - exact.components)) < 1e-6
+        err = np.max(np.abs(numeric.z.components - exact.components))
+        expect(err < 1e-6, f"numeric transport is {err} off the exact one")
 
     def central_rate():
         from .precession import central_frame_precession
 
         line = CircularWorldLine.from_plane(0.6, 1.0)
         rc = rate_components(central_frame_precession(line), line.center_velocity)
-        assert abs(rc[2] - (1.0 - line.lorentz_factor) * 0.6) < 1e-10
+        err = abs(rc[2] - (1.0 - line.lorentz_factor) * 0.6)
+        expect(err < 1e-10, f"central-frame rate is {err} off (1 - gamma) omega")
 
     def time_round_trip():
         line = CircularWorldLine.from_plane(0.6, 1.0)
         for _ in range(50):
             s = rng.uniform(0.0, 10.0 * line.proper_period)
             t = line.initial_time_of_proper_time(s)
-            assert abs(line.proper_time_of_initial_time(t) - s) < 1e-10
+            err = abs(line.proper_time_of_initial_time(t) - s)
+            expect(err < 1e-10, f"time round trip from s = {s} is {err} off")
 
     def thomas_angles():
         for speed in (0.3, 0.6):
             line = CircularWorldLine.from_plane(speed, 1.0)
             angle, _ = rotation_angle_axis(thomas_rotation_circular(line))
-            assert abs(angle - circular_thomas_angle(line).reduced) < 1e-9
+            err = abs(angle - circular_thomas_angle(line).reduced)
+            expect(err < 1e-9, f"operator angle is {err} off the closed form at speed {speed}")
 
     check("boost algebra", boost_algebra)
     check("coplanar chain is identity", coplanar_identity)

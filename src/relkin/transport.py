@@ -51,81 +51,137 @@ class TransportOperator(LorentzMap):
         self.s2 = float(s2)
 
 
+#: Most RK4 steps one integration call may take; asking for more is an input error.
+MAX_STEPS = 10**8
+
+
 def fermi_walker_derivative(line: WorldLine, s: float, z: FourVector) -> FourVector:
     """Right-hand side of the transport equation at proper time ``s``."""
-    return FourVector(_rhs(line._kinematics_arrays(float(s)), z.components))
+    v, a = line._kinematics_arrays(float(s))
+    return FourVector(_fw(v, a, *z.components.tolist()))
 
 
 def _resolve_step(line: WorldLine, s1: float, s2: float, step: float | None) -> float:
-    if step is not None:
-        if not (math.isfinite(step) and step > 0.0):
-            raise ConstraintViolation(f"integration step must be positive and finite, got {step}")
-        return float(step)
-    if isinstance(line, CircularWorldLine):
-        return line.proper_period / 10_000
-    span = abs(s2 - s1)
-    return span / 10_000 if span > 0.0 else 1.0
+    if step is None:
+        if isinstance(line, CircularWorldLine):
+            step = line.proper_period / 10_000
+        else:
+            span = abs(s2 - s1)
+            step = span / 10_000 if span > 0.0 else 1.0
+    elif not (math.isfinite(step) and step > 0.0):
+        raise ConstraintViolation(f"integration step must be positive and finite, got {step}")
+    steps = abs(s2 - s1) / step
+    if not steps <= MAX_STEPS:
+        raise ConstraintViolation(
+            f"transport from s = {s1} to {s2} at step {step} needs {steps} RK4 steps, "
+            f"more than the limit {MAX_STEPS}"
+        )
+    return float(step)
 
 
-def _rhs(kin: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
-    rdot, rddot = kin
-    return rdot * _mdot(rddot, z) - rddot * _mdot(rdot, z)
+def _fw(v, a, z0: float, z1: float, z2: float, z3: float) -> tuple[float, float, float, float]:
+    # v (a . z) - a (v . z) for 4-float velocity and acceleration
+    v0, v1, v2, v3 = v
+    a0, a1, a2, a3 = a
+    p = -a0 * z0 + a1 * z1 + a2 * z2 + a3 * z3
+    q = -v0 * z0 + v1 * z1 + v2 * z2 + v3 * z3
+    return v0 * p - a0 * q, v1 * p - a1 * q, v2 * p - a2 * q, v3 * p - a3 * q
 
 
-def _generator(kin: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    rdot, rddot = kin
-    return np.outer(rdot, METRIC @ rddot) - np.outer(rddot, METRIC @ rdot)
+def _generators(*kins) -> np.ndarray:
+    """outer(rdot, G rddot) - outer(rddot, G rdot) for each kinematics pair.
 
-
-def _rk4(line: WorldLine, y, s1: float, s2: float, step: float, rhs, field=None, drift=None):
-    """Classical RK4 with fixed step; the final partial step is shortened.
-
-    ``field`` maps each kinematics pair (velocity, acceleration) to the
-    first argument of ``rhs(field, y)``; without it ``rhs`` takes the pair.
-    With ``drift = (norm0, tol)`` the state is a gyroscopic vector and
-    DriftViolation is raised as soon as its orthogonality to the velocity
-    or its magnitude drifts beyond ``tol`` (drift is monitored, never
-    silently corrected).
+    One stack of numpy calls serves every pair; each entry is the same
+    product and difference that ``np.outer`` of the single pair computes.
     """
+    k = np.array(kins)  # [pair, (rdot, rddot), component]
+    g = k @ METRIC  # G rdot, G rddot (G is symmetric)
+    w = k[:, :, :, None] * g[:, ::-1, None, :]
+    return w[:, 0] - w[:, 1]
+
+
+def _steps(s1: float, s2: float, step: float):
+    """(s, h) of each fixed step from s1 to s2; the final partial step is shortened."""
     total = s2 - s1
-    if total == 0.0:
-        return y
     n_full = int(abs(total) // step)
     h_full = math.copysign(step, total)
-    kin = line._kinematics_arrays
-    at = kin if field is None else (lambda s: field(kin(s)))
-    if drift is not None:
-        norm0, tol = drift
-    f_lo = at(s1)
     s = s1
     for i in range(n_full + 1):
         if i == n_full:
             h = s2 - s
             if abs(h) <= 1e-15 * max(1.0, abs(s2)):
-                break
+                return
         else:
             h = h_full
-        f_mid = at(s + 0.5 * h)
-        f_hi = at(s + h)
-        k1 = rhs(f_lo, y)
-        k2 = rhs(f_mid, y + (0.5 * h) * k1)
-        k3 = rhs(f_mid, y + (0.5 * h) * k2)
-        k4 = rhs(f_hi, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        yield s, h
         s += h
-        f_lo = f_hi
-        if drift is not None:
-            ortho = abs(_mdot(f_hi[0], y))
-            mag = abs(math.sqrt(_mdot(y, y)) - norm0)
-            if not (ortho <= tol and mag <= tol):
-                raise DriftViolation(
-                    f"transport drift at s = {s}: velocity.z = {ortho}, |z| drift = {mag} "
-                    f"(step {step} too large)"
-                )
-    return y
 
 
-def _require_gyroscopic(rdot: np.ndarray, z0: FourVector, where: str) -> None:
+def _rk4_vector(line: WorldLine, z: tuple, s1: float, s2: float, step: float,
+                norm0: float, tol: float) -> tuple:
+    """Classical fixed-step RK4 for a gyroscopic vector held as four floats.
+
+    The arithmetic is the numpy form y + (h/6) (k1 + 2 (k2 + k3) + k4)
+    written out per component in the same order, so the result is the
+    same to the last bit.  DriftViolation is raised as soon as the
+    vector's orthogonality to the velocity or its magnitude drifts beyond
+    ``tol`` (drift is monitored, never silently corrected).
+    """
+    if s2 == s1:
+        return z
+    kin = line._kinematics_arrays
+    y0, y1, y2, y3 = z
+    v_lo, a_lo = kin(s1)
+    for s, h in _steps(s1, s2, step):
+        v_mid, a_mid = kin(s + 0.5 * h)
+        v_hi, a_hi = kin(s + h)
+        hh = 0.5 * h
+        k10, k11, k12, k13 = _fw(v_lo, a_lo, y0, y1, y2, y3)
+        k20, k21, k22, k23 = _fw(v_mid, a_mid,
+                                 y0 + hh * k10, y1 + hh * k11, y2 + hh * k12, y3 + hh * k13)
+        k30, k31, k32, k33 = _fw(v_mid, a_mid,
+                                 y0 + hh * k20, y1 + hh * k21, y2 + hh * k22, y3 + hh * k23)
+        k40, k41, k42, k43 = _fw(v_hi, a_hi,
+                                 y0 + h * k30, y1 + h * k31, y2 + h * k32, y3 + h * k33)
+        h6 = h / 6.0
+        y0 = y0 + h6 * (k10 + 2.0 * (k20 + k30) + k40)
+        y1 = y1 + h6 * (k11 + 2.0 * (k21 + k31) + k41)
+        y2 = y2 + h6 * (k12 + 2.0 * (k22 + k32) + k42)
+        y3 = y3 + h6 * (k13 + 2.0 * (k23 + k33) + k43)
+        v_lo, a_lo = v_hi, a_hi
+        w0, w1, w2, w3 = v_hi
+        ortho = abs(-w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3)
+        mag = abs(math.sqrt(-y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3) - norm0)
+        if not (ortho <= tol and mag <= tol):
+            raise DriftViolation(
+                f"transport drift at s = {s + h}: velocity.z = {ortho}, |z| drift = {mag} "
+                f"(step {step} too large)"
+            )
+    return y0, y1, y2, y3
+
+
+def _rk4_operator(line: WorldLine, m: np.ndarray, s1: float, s2: float, step: float) -> np.ndarray:
+    """Classical fixed-step RK4 for a transport operator, dm/ds = w(s) m.
+
+    The generator w = outer(rdot, G rddot) - outer(rddot, G rdot) is
+    built once per kinematics evaluation.
+    """
+    if s2 == s1:
+        return m
+    kin = line._kinematics_arrays
+    (w_lo,) = _generators(kin(s1))
+    for s, h in _steps(s1, s2, step):
+        w_mid, w_hi = _generators(kin(s + 0.5 * h), kin(s + h))
+        k1 = w_lo @ m
+        k2 = w_mid @ (m + (0.5 * h) * k1)
+        k3 = w_mid @ (m + (0.5 * h) * k2)
+        k4 = w_hi @ (m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        w_lo = w_hi
+    return m
+
+
+def _require_gyroscopic(rdot, z0: FourVector, where: str) -> None:
     ortho = _mdot(rdot, z0.components)
     if not abs(ortho) <= TOL.constraint * max(1.0, float(np.max(np.abs(z0.components)))):
         raise ConstraintViolation(
@@ -170,14 +226,14 @@ def transport_path(
     s_start = float(s_start)
     tol_drift = TOL.drift if tol_drift is None else tol_drift
     _require_gyroscopic(line._kinematics_arrays(s_start)[0], z0, f"at s = {s_start}")
-    drift = (z0.norm(), tol_drift)
+    norm0 = z0.norm()
     out: list[GyroState | None] = [None] * len(ss)
     first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
     for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
-        z, cur = z0.components.copy(), s_start
+        z, cur = tuple(z0.components.tolist()), s_start
         for i in order:
             h = _resolve_step(line, cur, ss[i], step)
-            z = _rk4(line, z, cur, ss[i], h, _rhs, drift=drift)
+            z = _rk4_vector(line, z, cur, ss[i], h, norm0, tol_drift)
             cur = ss[i]
             out[i] = GyroState(cur, FourVector(z))
     return out  # type: ignore[return-value]
@@ -198,7 +254,7 @@ def transport_operator_numeric(
     s1, s2 = float(s1), float(s2)
     tol = TOL.numeric if tol is None else tol
     step = _resolve_step(line, s1, s2, step)
-    m = _rk4(line, np.eye(4), s1, s2, step, np.matmul, field=_generator)
+    m = _rk4_operator(line, np.eye(4), s1, s2, step)
     form = float(np.max(np.abs(m.T @ METRIC @ m - METRIC)))
     if not form <= tol:
         raise DriftViolation(

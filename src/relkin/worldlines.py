@@ -45,9 +45,13 @@ class WorldLine(abc.ABC):
     def acceleration(self, s: float) -> FourVector:
         """Proper acceleration at proper time ``s``; orthogonal to the velocity."""
 
-    def _kinematics_arrays(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        # raw (velocity, acceleration) component arrays; integrator fast path
-        return self.velocity(s).components, self.acceleration(s).components
+    def _kinematics_arrays(self, s: float) -> tuple[tuple, tuple]:
+        # (velocity, acceleration) as two 4-float tuples; the integrators'
+        # only kinematics call
+        return (
+            tuple(self.velocity(s).components.tolist()),
+            tuple(self.acceleration(s).components.tolist()),
+        )
 
 
 class InertialWorldLine(WorldLine):
@@ -57,6 +61,7 @@ class InertialWorldLine(WorldLine):
         self._velocity = velocity
         self._origin = origin
         self._zero = ZERO
+        self._kinematics = (tuple(velocity.components.tolist()), (0.0, 0.0, 0.0, 0.0))
 
     def position(self, s: float) -> FourVector:
         return FourVector(self._origin.components + float(s) * self._velocity.components)
@@ -68,7 +73,7 @@ class InertialWorldLine(WorldLine):
         return self._zero
 
     def _kinematics_arrays(self, s: float):
-        return self._velocity.components, self._zero.components
+        return self._kinematics
 
 
 class CircularWorldLine(WorldLine):
@@ -150,6 +155,12 @@ class CircularWorldLine(WorldLine):
         self._vel_sin = -lam * rate * q
         self._acc_cos = -(lam * rate) ** 2 * q
         self._acc_sin = -(lam ** 2) * rate * omq
+        # the same coefficients as floats for _kinematics_arrays
+        self._spin = rate * lam  # proper-time rate of the orbital phase
+        self._vel_terms = tuple(
+            zip(self._vel_const.tolist(), self._vel_cos.tolist(), self._vel_sin.tolist())
+        )
+        self._acc_terms = tuple(zip(self._acc_cos.tolist(), self._acc_sin.tolist()))
 
     @classmethod
     def from_plane(
@@ -184,7 +195,7 @@ class CircularWorldLine(WorldLine):
         return cls(uc, generator, float(radius) * p1, origin)
 
     def _phase(self, s: float) -> float:
-        return self.angular_rate * self.lorentz_factor * s
+        return self._spin * s
 
     def position(self, s: float) -> FourVector:
         s = float(s)
@@ -205,11 +216,15 @@ class CircularWorldLine(WorldLine):
         return FourVector(self._acc_cos * math.cos(ph) + self._acc_sin * math.sin(ph))
 
     def _kinematics_arrays(self, s: float):
+        # the arithmetic of velocity() and acceleration(), component by component
         ph = self._phase(s)
         c, si = math.cos(ph), math.sin(ph)
+        (k0, x0, y0), (k1, x1, y1), (k2, x2, y2), (k3, x3, y3) = self._vel_terms
+        (p0, r0), (p1, r1), (p2, r2), (p3, r3) = self._acc_terms
         return (
-            self._vel_const + c * self._vel_cos + si * self._vel_sin,
-            c * self._acc_cos + si * self._acc_sin,
+            (k0 + c * x0 + si * y0, k1 + c * x1 + si * y1,
+             k2 + c * x2 + si * y2, k3 + c * x3 + si * y3),
+            (c * p0 + si * r0, c * p1 + si * r1, c * p2 + si * r2, c * p3 + si * r3),
         )
 
     def center_time_of_proper_time(self, s: float) -> float:

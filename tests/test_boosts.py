@@ -66,6 +66,13 @@ class TestBoost:
             x, y = random_unit_vector(rng), random_unit_vector(rng)
             assert abs(lorentz_dot(bmap(x), bmap(y)) - lorentz_dot(x, y)) < 1e-12
 
+    def test_rejects_past_directed_velocity(self):
+        # AbsoluteVelocity refuses a past-directed velocity, so build one around it
+        past = AbsoluteVelocity.__new__(AbsoluteVelocity)
+        past.components = -U_06X.components
+        with pytest.raises(ConstraintViolation, match="future directed"):
+            boost(past, U_REST)
+
     def test_constructor_validates(self):
         with pytest.raises(ConstraintViolation):
             Boost(np.diag([2.0, 1.0, 1.0, 1.0]), U_06X, U_REST)

@@ -1,6 +1,9 @@
+import ast
 import math
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -315,6 +318,109 @@ class TestStepAndTolerance:
         out = run_scenario(SCENARIOS / "precess_center.yaml", out_dir=tmp_path, tol=1e-6)
         assert seen and set(seen) == {Tolerances().drift}
         assert out.read_bytes() == (GOLDEN / "precess_center.csv").read_bytes()
+
+
+# one scenario per reader of numbers; FIELD is replaced by the value under test
+NUMBER_FIELDS = {
+    "omega": "kind: circular-thomas\nomega: FIELD\nrho: 1.0\n",
+    "rho": "kind: circular-thomas\nomega: 0.6\nrho: FIELD\n",
+    "center_velocity": "kind: circular-thomas\nomega: 0.6\nrho: 1.0\n"
+                       "center_velocity: [0.1, FIELD, 0.0]\n",
+    "plane": "kind: circular-thomas\nomega: 0.6\nrho: 1.0\n"
+             "plane: [[1.0, 0.0, FIELD], [0.0, 1.0, 0.0]]\n",
+    "velocity": "kind: transport\nworldline: {type: inertial, velocity: [FIELD, 0.0, 0.0]}\n"
+                "gyro: [0.0, 1.0, 0.0]\ns_min: 0.0\ns_max: 1.0\nn_points: 2\n",
+    "gyro": "kind: transport\nworldline: {type: inertial, velocity: [0.1, 0.0, 0.0]}\n"
+            "gyro: [0.0, FIELD, 0.0]\ns_min: 0.0\ns_max: 1.0\nn_points: 2\n",
+    "s_min": "kind: transport\nworldline: {type: circular, omega: 0.6, rho: 1.0}\n"
+             "gyro: [1.0, 0.0, 0.0]\ns_min: FIELD\ns_max: 1.0\nn_points: 2\n",
+    "s_max": "kind: transport\nworldline: {type: circular, omega: 0.6, rho: 1.0}\n"
+             "gyro: [1.0, 0.0, 0.0]\ns_min: 0.0\ns_max: FIELD\nn_points: 2\n",
+    "t_min": "kind: precess\nworldline: {type: circular, omega: 0.6, rho: 1.0}\nframe: center\n"
+             "gyro: [1.0, 0.0, 0.0]\nt_min: FIELD\nt_max: 1.0\nn_points: 3\n",
+    "t_max": "kind: precess\nworldline: {type: circular, omega: 0.6, rho: 1.0}\nframe: center\n"
+             "gyro: [1.0, 0.0, 0.0]\nt_min: 0.0\nt_max: FIELD\nn_points: 3\n",
+    "frame": "kind: precess\nworldline: {type: circular, omega: 0.6, rho: 1.0}\n"
+             "frame: [0.1, 0.0, FIELD]\ngyro: [1.0, 0.0, 0.0]\nt_min: 0.0\nt_max: 1.0\n"
+             "n_points: 3\n",
+    "velocity1": "kind: boost-compose\nvelocity1: [FIELD, 0.0, 0.0]\nvelocity2: [0.0, 0.1, 0.0]\n",
+}
+BAD_NUMBERS = [("abc", 2, "parse"), ("'[1]'", 2, "parse"), ("true", 2, "parse"),
+               (".nan", 3, "constraint"), (".inf", 3, "constraint"), ("-.inf", 3, "constraint")]
+
+
+class TestScenarioNumbers:
+    @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+    @pytest.mark.parametrize("value,code,kind", BAD_NUMBERS)
+    def test_bad_number_is_one_error_line(self, field, value, code, kind, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(NUMBER_FIELDS[field].replace("FIELD", value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main(["run", str(scenario), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error code={code} kind={kind} ")
+        assert field in err[0]
+
+    @pytest.mark.parametrize("text,code", [
+        (NUMBER_FIELDS["s_max"].replace("FIELD", ".inf"), 3),
+        (NUMBER_FIELDS["rho"].replace("FIELD", ".inf"), 3),
+        (NUMBER_FIELDS["omega"].replace("FIELD", "fast"), 2),
+    ])
+    def test_process_prints_one_line_and_no_warning(self, text, code, tmp_path):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "relkin", "run", str(scenario), "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == code
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"error code={code} ")
+
+
+class TestWorkBudget:
+    def test_tiny_step_exits_3_at_once(self, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(INERTIAL_TRANSPORT + "step: 1.0e-300\n")
+        start = time.perf_counter()
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error code=3 kind=constraint ")
+        assert "more than the limit" in err[0]
+
+
+def test_library_has_no_assert_statements():
+    # ``python -O`` strips assert statements, so no check may be one
+    found = []
+    for path in sorted((REPO / "src" / "relkin").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_selftest_checks_under_optimize():
+    # a wrong closed form must still be caught when asserts are stripped
+    broken = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import relkin.cli as c; from relkin.transport import ThomasAngle; "
+         "c.circular_thomas_angle = lambda line: ThomasAngle(1.0, 1.0, 1.0); "
+         "raise SystemExit(c.selftest())"],
+        capture_output=True, text=True,
+    )
+    assert broken.returncode == 1
+    assert "FAIL thomas angle extraction" in broken.stdout
+
+
+def test_optimized_module_selftest_exits_0():
+    result = subprocess.run([sys.executable, "-O", "-m", "relkin", "selftest"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert "selftest passed" in result.stdout
 
 
 def test_selftest_passes(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from relkin import (
     transport_path,
     wedge,
 )
+
+from relkin.transport import MAX_STEPS, _generators
 
 from helpers import max_abs, random_spacelike_unit
 
@@ -162,7 +165,171 @@ class TestTransportNumeric:
             assert abs(state.z.norm() - 1.0) < 1e-8
 
 
+def _mdot(a, b):
+    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def numpy_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
+    """transport_path on numpy arrays: the reference the float loop must match.
+
+    Kinematics come from the public velocity()/acceleration() arrays, the
+    state is a 4-element array, and every expression is the array form
+    that the float loop writes out per component, so the two must agree
+    bit for bit.
+    """
+
+    def kin(s):
+        return line.velocity(s).components, line.acceleration(s).components
+
+    def rhs(k, z):
+        rdot, rddot = k
+        return rdot * _mdot(rddot, z) - rddot * _mdot(rdot, z)
+
+    def rk4(y, s1, s2, h_step, norm0):
+        total = s2 - s1
+        if total == 0.0:
+            return y
+        n_full = int(abs(total) // h_step)
+        h_full = math.copysign(h_step, total)
+        f_lo = kin(s1)
+        s = s1
+        for i in range(n_full + 1):
+            if i == n_full:
+                h = s2 - s
+                if abs(h) <= 1e-15 * max(1.0, abs(s2)):
+                    break
+            else:
+                h = h_full
+            f_mid = kin(s + 0.5 * h)
+            f_hi = kin(s + h)
+            k1 = rhs(f_lo, y)
+            k2 = rhs(f_mid, y + (0.5 * h) * k1)
+            k3 = rhs(f_mid, y + (0.5 * h) * k2)
+            k4 = rhs(f_hi, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            s += h
+            f_lo = f_hi
+            ortho = abs(_mdot(f_hi[0], y))
+            mag = abs(math.sqrt(_mdot(y, y)) - norm0)
+            if not (ortho <= tol and mag <= tol):
+                raise DriftViolation(
+                    f"transport drift at s = {s}: velocity.z = {ortho}, |z| drift = {mag} "
+                    f"(step {h_step} too large)"
+                )
+        return y
+
+    def resolve(s1, s2):
+        if step is not None:
+            return float(step)
+        if isinstance(line, CircularWorldLine):
+            return line.proper_period / 10_000
+        span = abs(s2 - s1)
+        return span / 10_000 if span > 0.0 else 1.0
+
+    ss = [float(s) for s in s_points]
+    norm0 = z0.norm()
+    out = [None] * len(ss)
+    first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
+    for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
+        z, cur = z0.components.copy(), s_start
+        for i in order:
+            z = rk4(z, cur, ss[i], resolve(cur, ss[i]), norm0)
+            cur = ss[i]
+            out[i] = (cur, z.tobytes())
+    return out
+
+
+def _seeded_orbit(rng, boosted):
+    speed = rng.uniform(0.1, 0.95)
+    rho = rng.uniform(0.5, 2.0)
+    center = None
+    if boosted:
+        d = rng.normal(size=3)
+        center = AbsoluteVelocity.from_3velocity(d / np.linalg.norm(d) * rng.uniform(0.1, 0.6))
+    line = CircularWorldLine.from_plane(speed / rho, rho, center_velocity=center)
+    s_start = rng.uniform(-1.0, 1.0) * line.proper_period
+    z0 = random_spacelike_unit(rng, line.velocity(s_start)) * rng.uniform(0.5, 2.0)
+    return line, z0, s_start
+
+
+class TestFloatLoopBitIdentity:
+    """transport_path equals the numpy vector RK4 with exact ==, drift messages included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("step_kind", ["explicit", "default"])
+    def test_matches_numpy_reference(self, seed, step_kind):
+        rng = np.random.default_rng(3100 + seed)
+        line, z0, s_start = _seeded_orbit(rng, boosted=seed % 2 == 1)
+        period = line.proper_period
+        # points on both sides of s_start: one forward and one backward pass
+        offsets = np.concatenate([[-0.1, 0.12], rng.uniform(-0.15, 0.2, size=3)])
+        points = np.sort(s_start + period * offsets)
+        step = period / rng.uniform(600.0, 1200.0) if step_kind == "explicit" else None
+        got = [(st.s, st.z.components.tobytes())
+               for st in transport_path(line, z0, points, s_start=s_start, step=step)]
+        assert got == numpy_reference_path(line, z0, points, s_start=s_start, step=step)
+
+    def test_inertial_line_matches_numpy_reference(self):
+        line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.5]))
+        z0 = random_spacelike_unit(np.random.default_rng(3110), line.velocity(0.0))
+        points = [-2.0, -0.5, 0.7, 3.0]
+        got = [(st.s, st.z.components.tobytes())
+               for st in transport_path(line, z0, points, s_start=0.2, step=0.3)]
+        assert got == numpy_reference_path(line, z0, points, s_start=0.2, step=0.3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_drift_message_matches_numpy_reference(self, seed, direction):
+        rng = np.random.default_rng(3120 + seed)
+        line, z0, s_start = _seeded_orbit(rng, boosted=seed % 2 == 0)
+        period = line.proper_period
+        points = [s_start + direction * 3.0 * period]
+        step = period / rng.uniform(6.0, 20.0)
+        with pytest.raises(DriftViolation) as got:
+            transport_path(line, z0, points, s_start=s_start, step=step)
+        with pytest.raises(DriftViolation) as expected:
+            numpy_reference_path(line, z0, points, s_start=s_start, step=step)
+        assert str(got.value) == str(expected.value)
+
+
+class TestStepBudget:
+    def test_tiny_explicit_step_is_refused_at_once(self):
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        start = time.perf_counter()
+        with pytest.raises(ConstraintViolation, match="more than the limit"):
+            transport_numeric(standard_line(), z0, 0.0, 1.0, step=1e-300)
+        assert time.perf_counter() - start < 1.0
+
+    def test_default_step_over_a_long_span_is_refused(self):
+        line = standard_line()
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        # the default P/10 000 over 20 000 periods is 2e8 steps
+        with pytest.raises(ConstraintViolation, match="more than the limit"):
+            transport_numeric(line, z0, 0.0, 20_000 * line.proper_period)
+
+    def test_limit_is_the_module_constant(self):
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        line = InertialWorldLine(AbsoluteVelocity.rest())
+        span = 2.0 * MAX_STEPS
+        with pytest.raises(ConstraintViolation, match=f"limit {MAX_STEPS}"):
+            transport_numeric(line, z0, 0.0, span, step=1.0)
+        with pytest.raises(ConstraintViolation, match="more than the limit"):
+            transport_operator_numeric(line, 0.0, span, step=1.0)
+
+
 class TestTransportOperator:
+    def test_batched_generators_match_np_outer(self):
+        # every sign pattern of zero components: the batched metric product
+        # must give the bytes of METRIC @ x, signed zeros included
+        metric = np.diag([-1.0, 1.0, 1.0, 1.0])
+        values = (0.0, -0.0, 1.5, -2.5)
+        patterns = [tuple(values[(i >> (2 * j)) & 3] for j in range(4)) for i in range(256)]
+        for rdot, rddot in zip(patterns, patterns[::-1]):
+            expected = [np.outer(r, metric @ np.array(a)) - np.outer(a, metric @ np.array(r))
+                        for r, a in ((rdot, rddot), (rddot, rdot))]
+            got = _generators((rdot, rddot), (rddot, rdot))
+            assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
+
     def test_degenerate_interval_is_identity(self):
         line = standard_line()
         op = transport_operator_numeric(line, 1.2, 1.2, step=0.01)
