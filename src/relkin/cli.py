@@ -134,11 +134,6 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
-def _optional_step(cfg: dict, override: float | None) -> float | None:
-    step = override if override is not None else cfg.get("step")
-    return None if step is None else _number(step, "step", positive=True)
-
-
 def _circular_from(cfg: dict) -> CircularWorldLine:
     kind = cfg.get("kind", "circular")
     omega = _number(_require(cfg, "omega", kind), "omega")
@@ -180,7 +175,7 @@ def _gyro_vector(cfg: dict, line: WorldLine, s_anchor: float) -> FourVector:
     gyroscopic at the anchor automatically.
     """
     g3 = _vector3(_require(cfg, "gyro", cfg["kind"]), "gyro")
-    if float(g3 @ g3) == 0.0:
+    if not g3.any():
         raise ConstraintViolation("gyro vector must be nonzero")
     return boost(line.velocity(s_anchor), AbsoluteVelocity.rest())(FourVector([0.0, *g3]))
 
@@ -328,7 +323,8 @@ def run_scenario(
     """
     path = Path(path)
     cfg = _load_scenario(path)
-    step = _optional_step(cfg, step)
+    step = cfg.get("step") if step is None else step
+    step = None if step is None else _number(step, "step", positive=True)
     tol = None if tol is None else _number(tol, "tolerance", positive=True)
     runner, suffix = _RUNNERS[cfg["kind"]]
     if out_dir is None:

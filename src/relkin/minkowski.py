@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import TOL
 from .errors import ConstraintViolation
@@ -59,6 +58,8 @@ class FourVector:
         timelike vectors are rejected.
         """
         sq = lorentz_dot(self, self)
+        if not math.isfinite(sq):
+            raise ConstraintViolation(f"the Lorentz square of {self!r} overflows")
         if sq < -TOL.constraint * max(1.0, float(np.max(np.abs(self.components))) ** 2):
             raise ConstraintViolation(f"norm of a timelike vector (square = {sq})")
         return math.sqrt(max(sq, 0.0))
@@ -106,7 +107,8 @@ class AbsoluteVelocity(FourVector):
         v3 = np.asarray(v3, dtype=float)
         if v3.shape != (3,):
             raise ConstraintViolation("3-velocity needs exactly 3 components")
-        speed_sq = float(v3 @ v3)
+        with np.errstate(over="ignore"):  # an overflow gives inf, which the check rejects
+            speed_sq = float(v3 @ v3)
         if speed_sq >= 1.0:
             raise ConstraintViolation(f"speed must be below 1, got |v| = {math.sqrt(speed_sq)}")
         gamma = 1.0 / math.sqrt(1.0 - speed_sq)
@@ -184,8 +186,9 @@ def lorentz_dot(x: FourVector, y: FourVector) -> float:
     The summation order is fixed, so the result is exactly symmetric in
     its arguments.
     """
-    a, b = x.components, y.components
-    return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
+    # on Python floats, which overflow to inf or nan without a numpy warning
+    a, b = x.components.tolist(), y.components.tolist()
+    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
 def _mdot(a: np.ndarray, b: np.ndarray) -> float:
@@ -217,6 +220,7 @@ def exp_map(generator: LorentzMap, t: float = 1.0) -> LorentzMap:
     Rejects generators that are not antisymmetric with respect to the
     Lorentz form, since only those exponentiate to form-preserving maps.
     """
+    from scipy.linalg import expm  # here, not at import: no other path needs scipy
     if not generator.is_antisymmetric():
         raise ConstraintViolation("exp_map needs an antisymmetric generator")
     return LorentzMap(expm(float(t) * generator.matrix))
@@ -231,7 +235,10 @@ def antisymmetric_magnitude(generator: LorentzMap, tol: float | None = None) -> 
     """
     tol = TOL.constraint if tol is None else tol
     m = generator.matrix
-    sq = 0.5 * float(np.trace((METRIC @ m.T @ METRIC) @ m))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        sq = 0.5 * float(np.trace((METRIC @ m.T @ METRIC) @ m))
+    if not math.isfinite(sq):
+        raise ConstraintViolation("generator is too large: its squared magnitude overflows")
     scale = max(1.0, float(np.max(np.abs(m))) ** 2)
     if sq < -tol * scale:
         raise ConstraintViolation(f"generator is boost-like, squared magnitude {sq}")

@@ -61,20 +61,16 @@ def fermi_walker_derivative(line: WorldLine, s: float, z: FourVector) -> FourVec
     return FourVector(_fw(v, a, *z.components.tolist()))
 
 
-def _resolve_step(line: WorldLine, s1: float, s2: float, step: float | None) -> float:
+def _resolve_step(line: WorldLine, span: float, step: float | None) -> float:
     if step is None:
-        if isinstance(line, CircularWorldLine):
-            step = line.proper_period / 10_000
-        else:
-            span = abs(s2 - s1)
-            step = span / 10_000 if span > 0.0 else 1.0
+        step = line.default_step
     elif not (math.isfinite(step) and step > 0.0):
         raise ConstraintViolation(f"integration step must be positive and finite, got {step}")
-    steps = abs(s2 - s1) / step
+    steps = span / step
     if not steps <= MAX_STEPS:
         raise ConstraintViolation(
-            f"transport from s = {s1} to {s2} at step {step} needs {steps} RK4 steps, "
-            f"more than the limit {MAX_STEPS}"
+            f"transport over a proper-time span of {span} at step {step} needs {steps} "
+            f"RK4 steps, more than the limit {MAX_STEPS}"
         )
     return float(step)
 
@@ -103,18 +99,14 @@ def _generators(*kins) -> np.ndarray:
 def _steps(s1: float, s2: float, step: float):
     """(s, h) of each fixed step from s1 to s2; the final partial step is shortened."""
     total = s2 - s1
-    n_full = int(abs(total) // step)
     h_full = math.copysign(step, total)
     s = s1
-    for i in range(n_full + 1):
-        if i == n_full:
-            h = s2 - s
-            if abs(h) <= 1e-15 * max(1.0, abs(s2)):
-                return
-        else:
-            h = h_full
+    for _ in range(int(abs(total) // step)):
+        yield s, h_full
+        s += h_full
+    h = s2 - s
+    if abs(h) > 1e-15 * max(1.0, abs(s2)):
         yield s, h
-        s += h
 
 
 def _rk4_vector(line: WorldLine, z: tuple, s1: float, s2: float, step: float,
@@ -127,8 +119,6 @@ def _rk4_vector(line: WorldLine, z: tuple, s1: float, s2: float, step: float,
     vector's orthogonality to the velocity or its magnitude drifts beyond
     ``tol`` (drift is monitored, never silently corrected).
     """
-    if s2 == s1:
-        return z
     kin = line._kinematics_arrays
     y0, y1, y2, y3 = z
     v_lo, a_lo = kin(s1)
@@ -166,8 +156,6 @@ def _rk4_operator(line: WorldLine, m: np.ndarray, s1: float, s2: float, step: fl
     The generator w = outer(rdot, G rddot) - outer(rddot, G rdot) is
     built once per kinematics evaluation.
     """
-    if s2 == s1:
-        return m
     kin = line._kinematics_arrays
     (w_lo,) = _generators(kin(s1))
     for s, h in _steps(s1, s2, step):
@@ -200,8 +188,8 @@ def transport_numeric(
     """Transport ``z0`` from proper time ``s1`` to ``s2`` by fixed-step RK4.
 
     ``z0`` must be orthogonal to the velocity at ``s1``.  The default step
-    is one ten-thousandth of the orbital period (or of the span for
-    non-periodic lines); global error is fourth order in the step.
+    is the line's ``default_step`` (period / 10 000 on circular lines, one
+    exact step on inertial ones); global error is fourth order in the step.
     """
     return transport_path(line, z0, [s2], s_start=s1, step=step, tol_drift=tol_drift)[0]
 
@@ -218,7 +206,8 @@ def transport_path(
 
     The points must be ascending.  One sequential integration pass runs
     forward from ``s_start`` through the later points and one backward
-    through the earlier ones.
+    through the earlier ones.  The step is resolved once for the call, and
+    both passes together may take at most ``MAX_STEPS`` steps.
     """
     ss = [float(s) for s in s_points]
     if any(b < a for a, b in zip(ss, ss[1:])):
@@ -226,14 +215,15 @@ def transport_path(
     s_start = float(s_start)
     tol_drift = TOL.drift if tol_drift is None else tol_drift
     _require_gyroscopic(line._kinematics_arrays(s_start)[0], z0, f"at s = {s_start}")
+    span = max(ss[-1], s_start) - min(ss[0], s_start) if ss else 0.0
+    step = _resolve_step(line, span, step)
     norm0 = z0.norm()
     out: list[GyroState | None] = [None] * len(ss)
     first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
     for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
         z, cur = tuple(z0.components.tolist()), s_start
         for i in order:
-            h = _resolve_step(line, cur, ss[i], step)
-            z = _rk4_vector(line, z, cur, ss[i], h, norm0, tol_drift)
+            z = _rk4_vector(line, z, cur, ss[i], step, norm0, tol_drift)
             cur = ss[i]
             out[i] = GyroState(cur, FourVector(z))
     return out  # type: ignore[return-value]
@@ -253,7 +243,7 @@ def transport_operator_numeric(
     """
     s1, s2 = float(s1), float(s2)
     tol = TOL.numeric if tol is None else tol
-    step = _resolve_step(line, s1, s2, step)
+    step = _resolve_step(line, abs(s2 - s1), step)
     m = _rk4_operator(line, np.eye(4), s1, s2, step)
     form = float(np.max(np.abs(m.T @ METRIC @ m - METRIC)))
     if not form <= tol:

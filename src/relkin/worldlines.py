@@ -33,6 +33,9 @@ from .minkowski import (
 class WorldLine(abc.ABC):
     """History of a material point as exact functions of proper time."""
 
+    #: RK4 step of transport along the line when the caller gives none; every line sets it
+    default_step: float
+
     @abc.abstractmethod
     def position(self, s: float) -> FourVector:
         """Displacement of the world point at proper time ``s`` from the origin."""
@@ -57,10 +60,12 @@ class WorldLine(abc.ABC):
 class InertialWorldLine(WorldLine):
     """Straight world line of an unaccelerated point."""
 
+    #: zero acceleration makes every RK4 stage zero, so one step per segment is exact
+    default_step = math.inf
+
     def __init__(self, velocity: AbsoluteVelocity, origin: FourVector = ZERO):
         self._velocity = velocity
         self._origin = origin
-        self._zero = ZERO
         self._kinematics = (tuple(velocity.components.tolist()), (0.0, 0.0, 0.0, 0.0))
 
     def position(self, s: float) -> FourVector:
@@ -70,7 +75,7 @@ class InertialWorldLine(WorldLine):
         return self._velocity
 
     def acceleration(self, s: float) -> FourVector:
-        return self._zero
+        return ZERO
 
     def _kinematics_arrays(self, s: float):
         return self._kinematics
@@ -144,6 +149,7 @@ class CircularWorldLine(WorldLine):
         )
         self.proper_period = 2.0 * math.pi / (rate * self.lorentz_factor)
         self.center_period = 2.0 * math.pi / rate
+        self.default_step = self.proper_period / 10_000
 
         # cached arrays for the closed-form kinematics
         lam = self.lorentz_factor

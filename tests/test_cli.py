@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from relkin import TOL, CircularWorldLine, Tolerances
+from relkin import TOL, CircularWorldLine, InertialWorldLine, Tolerances
 from relkin.cli import emit_csv, main, run_scenario, selftest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -367,6 +367,11 @@ class TestScenarioNumbers:
         (NUMBER_FIELDS["s_max"].replace("FIELD", ".inf"), 3),
         (NUMBER_FIELDS["rho"].replace("FIELD", ".inf"), 3),
         (NUMBER_FIELDS["omega"].replace("FIELD", "fast"), 2),
+        # finite numbers whose squares overflow
+        (NUMBER_FIELDS["omega"].replace("FIELD", "1.0e300"), 3),
+        (NUMBER_FIELDS["rho"].replace("FIELD", "1.0e300"), 3),
+        (NUMBER_FIELDS["gyro"].replace("[0.0, FIELD, 0.0]", "[1.0e300, 0.0, 1.0]"), 3),
+        (NUMBER_FIELDS["center_velocity"].replace("[0.1, FIELD, 0.0]", "[1.0e300, 0.0, 0.0]"), 3),
     ])
     def test_process_prints_one_line_and_no_warning(self, text, code, tmp_path):
         scenario = tmp_path / "s.yaml"
@@ -391,6 +396,46 @@ class TestWorkBudget:
         assert len(err) == 1
         assert err[0].startswith("error code=3 kind=constraint ")
         assert "more than the limit" in err[0]
+
+    def test_step_limit_covers_the_whole_grid(self, tmp_path, capsys):
+        # 1e9 steps split over 99 segments: each is under the limit, the run is not
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(INERTIAL_TRANSPORT.replace("s_max: 1.0\nn_points: 2",
+                                                       "s_max: 1.0e9\nn_points: 100")
+                            + "step: 1.0\n")
+        start = time.perf_counter()
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "more than the limit" in err[0]
+
+    def test_inertial_default_step_is_one_step_per_row(self, tmp_path, monkeypatch):
+        # a span / 10 000 rule per output segment would take 1e4 steps per row,
+        # 1e8 in all; the line's own infinite default step takes one
+        calls = []
+        kinematics = InertialWorldLine._kinematics_arrays
+
+        def spy(self, s):
+            calls.append(s)
+            return kinematics(self, s)
+
+        monkeypatch.setattr(InertialWorldLine, "_kinematics_arrays", spy)
+        scenario = tmp_path / "s.yaml"
+        n = 10_000
+        scenario.write_text(INERTIAL_TRANSPORT.replace("n_points: 2", f"n_points: {n}"))
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 0
+        assert len(calls) <= 3 * n + 1
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == n + 1
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.linalg serves only exp_map, which imports it on first use
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, relkin.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"
 
 
 def test_library_has_no_assert_statements():

@@ -218,14 +218,7 @@ def numpy_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
                 )
         return y
 
-    def resolve(s1, s2):
-        if step is not None:
-            return float(step)
-        if isinstance(line, CircularWorldLine):
-            return line.proper_period / 10_000
-        span = abs(s2 - s1)
-        return span / 10_000 if span > 0.0 else 1.0
-
+    h_step = line.default_step if step is None else float(step)
     ss = [float(s) for s in s_points]
     norm0 = z0.norm()
     out = [None] * len(ss)
@@ -233,7 +226,7 @@ def numpy_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
     for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
         z, cur = z0.components.copy(), s_start
         for i in order:
-            z = rk4(z, cur, ss[i], resolve(cur, ss[i]), norm0)
+            z = rk4(z, cur, ss[i], h_step, norm0)
             cur = ss[i]
             out[i] = (cur, z.tobytes())
     return out
@@ -292,6 +285,54 @@ class TestFloatLoopBitIdentity:
         assert str(got.value) == str(expected.value)
 
 
+class TestLineDefaultStep:
+    """The default step is the line's own default_step, resolved once per call."""
+
+    def test_circular_default_is_a_ten_thousandth_of_the_period(self):
+        line = standard_line(0.9, 1.0)
+        assert line.default_step == line.proper_period / 10_000
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        points = np.linspace(0.0, 0.3 * line.proper_period, 7)
+        default = transport_path(line, z0, points)
+        explicit = transport_path(line, z0, points, step=line.proper_period / 10_000)
+        assert [s.z.components.tobytes() for s in default] == \
+            [s.z.components.tobytes() for s in explicit]
+
+    def test_inertial_default_equals_explicit_step(self):
+        line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.5]))
+        assert line.default_step == math.inf
+        z0 = random_spacelike_unit(np.random.default_rng(3130), line.velocity(0.0)) * 1.7
+        points = [-40.0, -2.5, 0.0, 0.7, 3.0, 1e3]
+        default = transport_path(line, z0, points, s_start=0.2)
+        explicit = transport_path(line, z0, points, s_start=0.2, step=0.3)
+        assert [s.z.components.tolist() for s in default] == \
+            [s.z.components.tolist() for s in explicit]
+        assert all(s.z.components.tolist() == z0.components.tolist() for s in default)
+
+    def test_inertial_default_takes_one_step_per_segment(self, monkeypatch):
+        calls = []
+        kinematics = InertialWorldLine._kinematics_arrays
+
+        def spy(self, s):
+            calls.append(s)
+            return kinematics(self, s)
+
+        monkeypatch.setattr(InertialWorldLine, "_kinematics_arrays", spy)
+        line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.1, 0.0, 0.0]))
+        z0 = project_spatial(line.velocity(0.0), E2)
+        n = 500
+        transport_path(line, z0, np.linspace(0.0, 1e6, n))
+        # the gyroscopic check, then one RK4 step per segment: start, mid and end
+        assert len(calls) <= 3 * n + 1
+
+    def test_transport_reads_the_step_from_the_line(self):
+        line = standard_line(0.9, 1.0)
+        line.default_step = line.proper_period / 8
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(DriftViolation, match=f"step {line.default_step} too large"):
+            transport_numeric(line, z0, 0.0, 3.0 * line.proper_period)
+
+
 class TestStepBudget:
     def test_tiny_explicit_step_is_refused_at_once(self):
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
@@ -306,6 +347,46 @@ class TestStepBudget:
         # the default P/10 000 over 20 000 periods is 2e8 steps
         with pytest.raises(ConstraintViolation, match="more than the limit"):
             transport_numeric(line, z0, 0.0, 20_000 * line.proper_period)
+
+    @staticmethod
+    def refusing_line():
+        # an inertial line whose kinematics fail once integration starts, so a
+        # call the budget lets through fails at once instead of running for ages
+        line = InertialWorldLine(AbsoluteVelocity.rest())
+        calls = []
+
+        def kinematics(s):
+            calls.append(s)
+            if len(calls) > 1:  # the first call is the gyroscopic check
+                raise AssertionError("integration started")
+            return InertialWorldLine._kinematics_arrays(line, s)
+
+        line._kinematics_arrays = kinematics
+        return line
+
+    def test_budget_covers_every_segment_of_a_call(self):
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        # 99 segments of about 1e7 steps each: every one is under the limit, the call is not
+        with pytest.raises(ConstraintViolation, match="more than the limit"):
+            transport_path(self.refusing_line(), z0, np.linspace(0.0, 1e9, 100), step=1.0)
+
+    def test_budget_adds_the_backward_pass(self):
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        half = 0.6 * MAX_STEPS  # each pass alone is under the limit, both are over it
+        with pytest.raises(ConstraintViolation, match="more than the limit"):
+            transport_path(self.refusing_line(), z0, [-half, half], s_start=0.0, step=1.0)
+
+    def test_many_segments_equal_chained_single_calls(self):
+        line = standard_line(0.9, 1.0)
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        period = line.proper_period
+        points = np.linspace(0.0, 2.0 * period, 400)
+        states = transport_path(line, z0, points)
+        z, cur = z0, 0.0
+        for state, s in zip(states, points):
+            z = transport_numeric(line, z, cur, s).z
+            cur = s
+            assert state.z.components.tobytes() == z.components.tobytes()
 
     def test_limit_is_the_module_constant(self):
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
