@@ -10,6 +10,7 @@ attributes to a moving point.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .minkowski import (
     AbsoluteVelocity,
     FourVector,
     LorentzMap,
+    _lowered,
     _mdot,
     lorentz_dot,
     orthonormal_spatial_frame,
@@ -32,13 +34,18 @@ class Boost(LorentzMap):
     def __init__(self, matrix, u_to: AbsoluteVelocity, u_from: AbsoluteVelocity,
                  tol: float | None = None):
         super().__init__(matrix)
-        tol = TOL.constraint if tol is None else tol
-        if not self.is_lorentz(tol):
-            raise ConstraintViolation("boost matrix does not preserve the Lorentz form")
-        if float(np.max(np.abs(self.matrix @ u_from.components - u_to.components))) > tol:
-            raise ConstraintViolation("boost does not map u_from to u_to")
+        _require_boost(self.matrix, u_to.components, u_from.components,
+                       TOL.constraint if tol is None else tol)
         self.u_to = u_to
         self.u_from = u_from
+
+
+def _require_boost(m: np.ndarray, u_to, u_from, tol: float) -> None:
+    # the checks every boost matrix passes: the Lorentz form, and u_from carried onto u_to
+    if not float(abs(m.T @ METRIC @ m - METRIC).max()) <= tol:
+        raise ConstraintViolation("boost matrix does not preserve the Lorentz form")
+    if not float(abs(m @ u_from - u_to).max()) <= tol:
+        raise ConstraintViolation("boost does not map u_from to u_to")
 
 
 class SpatialRotation(LorentzMap):
@@ -71,17 +78,31 @@ def boost(u_to: AbsoluteVelocity, u_from: AbsoluteVelocity) -> Boost:
 
     boost(u, u) is the identity and boost(u, u') inverts boost(u', u).
     """
-    d = lorentz_dot(u_to, u_from)
+    m = _boost_matrix(u_to.components.tolist(), u_from.components.tolist(), TOL.constraint)
+    out = Boost.__new__(Boost)  # _boost_matrix has made Boost's checks
+    out.matrix, out.u_to, out.u_from = m, u_to, u_from
+    return out
+
+
+def _boost_matrix(t, f, tol: float) -> np.ndarray:
+    # checked read-only matrix of the boost carrying 4-float velocity f onto t, entry by entry
+    # as numpy forms eye + outer(s, G s) / (1 - t.f) - 2 outer(t, G f) with s = t + f
+    d = _mdot(t, f)
     # future-directed velocities always satisfy u_to.u_from <= -1
     if not d < 0.0:
         raise ConstraintViolation(f"velocities must be future directed, got u_to.u_from = {d}")
-    s = u_to.components + u_from.components
-    m = (
-        np.eye(4)
-        + np.outer(s, METRIC @ s) / (1.0 - d)
-        - 2.0 * np.outer(u_to.components, METRIC @ u_from.components)
-    )
-    return Boost(m, u_to, u_from)
+    s = [ti + fi for ti, fi in zip(t, f)]
+    gs, gf = _lowered(s), _lowered(f)
+    k = 1.0 - d
+    rows = [[((1.0 if i == j else 0.0) + si * gsj / k) - 2.0 * (ti * gfj)
+             for j, (gsj, gfj) in enumerate(zip(gs, gf))]
+            for i, (si, ti) in enumerate(zip(s, t))]
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ConstraintViolation("map entries must be finite")
+    m = np.array(rows)
+    _require_boost(m, t, f, tol)
+    m.setflags(write=False)
+    return m
 
 
 def gamma_factor(u: AbsoluteVelocity, rdot: AbsoluteVelocity) -> float:
@@ -94,8 +115,13 @@ def relative_velocity(u: AbsoluteVelocity, rdot: AbsoluteVelocity) -> FourVector
 
     Lies in the space vectors of ``u`` and has magnitude below 1.
     """
-    g = gamma_factor(u, rdot)
-    return FourVector(rdot.components / g - u.components)
+    return FourVector(_relative_velocity(u.components.tolist(), rdot.components.tolist()))
+
+
+def _relative_velocity(u, r) -> list[float]:
+    # rdot / g - u with g = -u.rdot, on 4-float velocities
+    g = -_mdot(u, r)
+    return [ri / g - ui for ri, ui in zip(r, u)]
 
 
 def relative_acceleration(
@@ -109,16 +135,23 @@ def relative_acceleration(
     ``rddot`` is the proper acceleration, required to be orthogonal to
     ``rdot``; the result lies in the space vectors of ``u``.
     """
-    tol = TOL.constraint if tol is None else tol
-    ortho = lorentz_dot(rdot, rddot)
-    scale = max(1.0, float(np.max(np.abs(rddot.components))))
-    if abs(ortho) > tol * scale:
+    return FourVector(_relative_acceleration(
+        u.components.tolist(), rdot.components.tolist(), rddot.components.tolist(),
+        TOL.constraint if tol is None else tol,
+    ))
+
+
+def _relative_acceleration(u, r, a, tol: float) -> list[float]:
+    # (rddot + rdot (u.rddot / g)) / g^2 with g = -u.rdot, on 4-float vectors
+    ortho = _mdot(r, a)
+    if not abs(ortho) <= tol * max(1.0, max(map(abs, a))):
         raise ConstraintViolation(
             f"acceleration must be orthogonal to velocity, got rdot.rddot = {ortho}"
         )
-    g = gamma_factor(u, rdot)
-    inner = rddot.components + rdot.components * (lorentz_dot(u, rddot) / g)
-    return FourVector(inner / (g * g))
+    g = -_mdot(u, r)
+    k = _mdot(u, a) / g
+    gg = g * g
+    return [(ai + ri * k) / gg for ai, ri in zip(a, r)]
 
 
 def thomas_rotation_discrete(

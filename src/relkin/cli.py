@@ -33,6 +33,7 @@ from .errors import ConstraintViolation, DriftViolation, ScenarioError
 from .minkowski import (
     AbsoluteVelocity,
     FourVector,
+    _mdot,
     lorentz_dot,
     orthonormal_spatial_frame,
 )
@@ -239,15 +240,9 @@ def _run_transport(cfg: dict, out_path: Path, step: float | None, tol: float | N
     states = transport_path(line, z0, ss, s_start=s_min, step=step, tol_drift=tol)
     rows = []
     for state in states:
-        rdot = line.velocity(state.s)
-        rows.append(
-            [
-                state.s,
-                *state.z.components,
-                lorentz_dot(rdot, state.z),
-                state.z.norm() - norm0,
-            ]
-        )
+        z = state.z.components.tolist()
+        rdot = line.velocity(state.s).components.tolist()
+        rows.append([state.s, *z, _mdot(rdot, z), state.z.norm() - norm0])
     return emit_csv(["s", "zt", "zx", "zy", "zz", "vel_dot_z", "mag_drift"], rows, out_path)
 
 

@@ -26,26 +26,21 @@ METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 METRIC.setflags(write=False)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 class FourVector:
     """Spacetime vector, stored as four real components in the fixed basis."""
 
     __slots__ = ("components",)
 
     def __init__(self, components):
-        arr = np.asarray(components, dtype=float)
+        arr = np.array(components, dtype=float)  # a copy, frozen below
         if arr.shape != (4,):
             raise ConstraintViolation(
                 f"a four-vector needs exactly 4 components, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arr.tolist())):
             raise ConstraintViolation("four-vector components must be finite")
-        self.components = _frozen(arr)
+        arr.setflags(write=False)
+        self.components = arr
 
     def dot(self, other: "FourVector") -> float:
         return lorentz_dot(self, other)
@@ -57,10 +52,11 @@ class FourVector:
         negative values from roundoff are clamped to zero, genuinely
         timelike vectors are rejected.
         """
-        sq = lorentz_dot(self, self)
+        c = self.components.tolist()
+        sq = _mdot(c, c)
         if not math.isfinite(sq):
             raise ConstraintViolation(f"the Lorentz square of {self!r} overflows")
-        if sq < -TOL.constraint * max(1.0, float(np.max(np.abs(self.components))) ** 2):
+        if sq < -TOL.constraint * max(1.0, max(map(abs, c)) ** 2):
             raise ConstraintViolation(f"norm of a timelike vector (square = {sq})")
         return math.sqrt(max(sq, 0.0))
 
@@ -129,12 +125,13 @@ class LorentzMap:
     """
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
+        m = np.array(matrix, dtype=float)  # a copy, frozen below
         if m.shape != (4, 4):
             raise ConstraintViolation(f"a Lorentz map needs a 4x4 array, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not all(map(math.isfinite, m.ravel().tolist())):
             raise ConstraintViolation("map entries must be finite")
-        self.matrix = _frozen(m)
+        m.setflags(write=False)
+        self.matrix = m
 
     @classmethod
     def identity(cls) -> "LorentzMap":
@@ -187,12 +184,11 @@ def lorentz_dot(x: FourVector, y: FourVector) -> float:
     its arguments.
     """
     # on Python floats, which overflow to inf or nan without a numpy warning
-    a, b = x.components.tolist(), y.components.tolist()
-    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    return _mdot(x.components.tolist(), y.components.tolist())
 
 
-def _mdot(a: np.ndarray, b: np.ndarray) -> float:
-    # raw-array Lorentz product, fast path for integrators
+def _mdot(a, b) -> float:
+    # Lorentz product of raw arrays or 4-float tuples, in lorentz_dot's order
     return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
@@ -210,8 +206,19 @@ def wedge(x: FourVector, y: FourVector) -> LorentzMap:
     Generates rotations when x, y are spacelike and boosts when one of
     them is timelike.
     """
-    a, b = x.components, y.components
-    return LorentzMap(np.outer(a, METRIC @ b) - np.outer(b, METRIC @ a))
+    return LorentzMap(_wedge(x.components.tolist(), y.components.tolist()))
+
+
+def _lowered(x) -> tuple[float, float, float, float]:
+    # METRIC @ x for four floats; adding 0.0 signs its zeros as numpy's product does
+    return -x[0] + 0.0, x[1] + 0.0, x[2] + 0.0, x[3] + 0.0
+
+
+def _wedge(a, b, k: float = 1.0) -> np.ndarray:
+    # k (outer(a, G b) - outer(b, G a)) for four floats, entry by entry as numpy; k = 1.0 is exact
+    ga, gb = _lowered(a), _lowered(b)
+    return np.array([[(ai * gbj - bi * gaj) * k for gaj, gbj in zip(ga, gb)]
+                     for ai, bi in zip(a, b)])
 
 
 def exp_map(generator: LorentzMap, t: float = 1.0) -> LorentzMap:

@@ -10,23 +10,27 @@ here alongside the generic observation pipeline.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boosts import boost, relative_acceleration, relative_velocity
+from .boosts import _boost_matrix, _relative_acceleration, _relative_velocity, boost
 from .config import TOL
 from .errors import ConstraintViolation
 from .minkowski import (
     AbsoluteVelocity,
     FourVector,
     LorentzMap,
+    _mdot,
+    _wedge,
     lorentz_dot,
     orthonormal_spatial_frame,
     wedge,
 )
 from .transport import transport_path
-from .worldlines import CircularWorldLine, WorldLine, proper_time_of_frame_time
+from .worldlines import (CircularWorldLine, WorldLine, _invert_increasing,
+                         proper_time_of_frame_time)
 
 
 @dataclass
@@ -52,15 +56,20 @@ def precession_rate(v: FourVector, a: FourVector, tol: float | None = None) -> L
     observer's space; |v| must stay below 1.  Equals ((gamma - 1)/|v|^2) v ^ a
     for nonzero v.
     """
-    tol = TOL.constraint if tol is None else tol
-    v_sq = lorentz_dot(v, v)
-    if v_sq < -tol:
+    return LorentzMap(_rate_matrix(v.components.tolist(), a.components.tolist(),
+                                   TOL.constraint if tol is None else tol))
+
+
+def _rate_matrix(v, a, tol: float) -> np.ndarray:
+    # precession_rate on 4-float relative velocity and acceleration
+    v_sq = _mdot(v, v)
+    if not v_sq >= -tol:
         raise ConstraintViolation("relative velocity must be spacelike")
     v_sq = max(v_sq, 0.0)
-    if v_sq >= 1.0:
+    if not v_sq < 1.0:
         raise ConstraintViolation(f"relative speed must be below 1, got squared {v_sq}")
-    gamma = 1.0 / np.sqrt(1.0 - v_sq)
-    return (gamma * gamma / (1.0 + gamma)) * wedge(v, a)
+    gamma = 1.0 / math.sqrt(1.0 - v_sq)
+    return _wedge(v, a, gamma * gamma / (1.0 + gamma))
 
 
 def observe_gyroscope(
@@ -99,25 +108,32 @@ def precession_series(
     rate built from the relative velocity and acceleration at that
     instant.  Interior samples also carry the centered difference of the
     observed vector, so the precession law can be checked against the
-    series itself.
+    series itself.  The series runs the float kernels of the public calls,
+    so each sample equals their composition bit for bit.
     """
     ts = [float(t) for t in t_grid]
     if len(ts) < 2:
         raise ConstraintViolation("a precession series needs at least two grid points")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ConstraintViolation("frame-time grid must be strictly increasing")
-    ss = [proper_time_of_frame_time(u, line, t) for t in ts]
+    clock = line._frame_clock(u)
+    ss = [_invert_increasing(clock, t) for t in ts]
     states = transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
-    samples = []
+    w, tol = u.components.tolist(), TOL.constraint
+    samples, zs = [], []
     for t, state in zip(ts, states):
-        rdot = line.velocity(state.s)
-        observed = boost(u, rdot)(state.z)
-        v = relative_velocity(u, rdot)
-        a = relative_acceleration(u, rdot, line.acceleration(state.s))
-        samples.append(PrecessionSample(t, observed, precession_rate(v, a)))
+        rdot, rddot = line._kinematics_arrays(state.s)
+        observed = FourVector(_boost_matrix(w, rdot, tol) @ state.z.components)
+        v = _relative_velocity(w, rdot)
+        a = _relative_acceleration(w, rdot, rddot, tol)
+        samples.append(PrecessionSample(t, observed, LorentzMap(_rate_matrix(v, a, tol))))
+        zs.append(observed.components.tolist())
     for k in range(1, len(samples) - 1):
         dt = ts[k + 1] - ts[k - 1]
-        samples[k].z_dot = (samples[k + 1].z - samples[k - 1].z) * (1.0 / dt)
+        inv_dt = 1.0 / dt
+        if not math.isfinite(inv_dt):
+            raise ConstraintViolation(f"frame-time grid spacing {dt} is too small to difference")
+        samples[k].z_dot = FourVector([(p - q) * inv_dt for p, q in zip(zs[k + 1], zs[k - 1])])
     return samples
 
 
@@ -197,8 +213,8 @@ def rate_components(rate: LorentzMap, u: AbsoluteVelocity, frame=None) -> np.nda
     f1 toward f2 at rate r3, and cyclically; their Euclidean norm is the
     precession speed.
     """
-    f = orthonormal_spatial_frame(u) if frame is None else frame
-    m = np.array(
-        [[lorentz_dot(fi, rate(fj)) for fj in f] for fi in f]
-    )
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    f0, f1, f2 = (f.components for f in (orthonormal_spatial_frame(u) if frame is None else frame))
+    m = rate.matrix
+    # entries (2, 1), (0, 2), (1, 0) of the matrix fi . rate(fj), as lorentz_dot forms them
+    return np.array([_mdot(fi.tolist(), (m @ fj).tolist())
+                     for fi, fj in ((f2, f1), (f0, f2), (f1, f0))])

@@ -56,6 +56,16 @@ class WorldLine(abc.ABC):
             tuple(self.acceleration(s).components.tolist()),
         )
 
+    def _frame_clock(self, u: AbsoluteVelocity):
+        """(forward, slope) in floats: the time frame ``u`` assigns to the point at
+        proper time s (zero at s = 0) and its rate -u.velocity(s).  Generic:
+        built on the object methods; closed-form lines override it."""
+        x0 = self.position(0.0)
+        return (
+            lambda s: -lorentz_dot(u, self.position(s) - x0),
+            lambda s: -lorentz_dot(u, self.velocity(s)),
+        )
+
 
 class InertialWorldLine(WorldLine):
     """Straight world line of an unaccelerated point."""
@@ -79,6 +89,11 @@ class InertialWorldLine(WorldLine):
 
     def _kinematics_arrays(self, s: float):
         return self._kinematics
+
+    def _frame_clock(self, u: AbsoluteVelocity):
+        # t = (-u.v) s
+        k = -_mdot(u.components.tolist(), self._kinematics[0])
+        return (lambda s: k * s, lambda s: k)
 
 
 class CircularWorldLine(WorldLine):
@@ -151,22 +166,16 @@ class CircularWorldLine(WorldLine):
         self.center_period = 2.0 * math.pi / rate
         self.default_step = self.proper_period / 10_000
 
-        # cached arrays for the closed-form kinematics
+        # cached coefficients of the closed-form position and kinematics
         lam = self.lorentz_factor
         omq = om @ q
         self._q = q
         self._omq_over_rate = omq / rate
-        self._vel_const = lam * uc
-        self._vel_cos = lam * omq
-        self._vel_sin = -lam * rate * q
-        self._acc_cos = -(lam * rate) ** 2 * q
-        self._acc_sin = -(lam ** 2) * rate * omq
-        # the same coefficients as floats for _kinematics_arrays
         self._spin = rate * lam  # proper-time rate of the orbital phase
-        self._vel_terms = tuple(
-            zip(self._vel_const.tolist(), self._vel_cos.tolist(), self._vel_sin.tolist())
-        )
-        self._acc_terms = tuple(zip(self._acc_cos.tolist(), self._acc_sin.tolist()))
+        self._vel_terms = tuple(zip((lam * uc).tolist(), (lam * omq).tolist(),
+                                    (-lam * rate * q).tolist()))
+        self._acc_terms = tuple(zip((-(lam * rate) ** 2 * q).tolist(),
+                                    (-(lam ** 2) * rate * omq).tolist()))
 
     @classmethod
     def from_plane(
@@ -212,17 +221,13 @@ class CircularWorldLine(WorldLine):
         )
 
     def velocity(self, s: float) -> AbsoluteVelocity:
-        ph = self._phase(float(s))
-        return AbsoluteVelocity(
-            self._vel_const + self._vel_cos * math.cos(ph) + self._vel_sin * math.sin(ph)
-        )
+        return AbsoluteVelocity(self._kinematics_arrays(float(s))[0])
 
     def acceleration(self, s: float) -> FourVector:
-        ph = self._phase(float(s))
-        return FourVector(self._acc_cos * math.cos(ph) + self._acc_sin * math.sin(ph))
+        return FourVector(self._kinematics_arrays(float(s))[1])
 
     def _kinematics_arrays(self, s: float):
-        # the arithmetic of velocity() and acceleration(), component by component
+        # v = k + cos(phase) x + sin(phase) y and a = cos(phase) p + sin(phase) r per component
         ph = self._phase(s)
         c, si = math.cos(ph), math.sin(ph)
         (k0, x0, y0), (k1, x1, y1), (k2, x2, y2), (k3, x3, y3) = self._vel_terms
@@ -232,6 +237,25 @@ class CircularWorldLine(WorldLine):
              k2 + c * x2 + si * y2, k3 + c * x3 + si * y3),
             (c * p0 + si * r0, c * p1 + si * r1, c * p2 + si * r2, c * p3 + si * r3),
         )
+
+    def _frame_clock(self, u: AbsoluteVelocity):
+        # t(s) = -u.(x(s) - x(0)) = A s + B (cos(phase) - 1) + C sin(phase), with A = lam (-u.u_c),
+        # B = -u.q, C = -u.(Om q)/rate; the slope -u.v(s) forms v(s) as _kinematics_arrays does
+        w = u.components.tolist()
+        a = self.lorentz_factor * -_mdot(w, self.center_velocity.components.tolist())
+        b, c = -_mdot(w, self._q.tolist()), -_mdot(w, self._omq_over_rate.tolist())
+        spin, terms = self._spin, self._vel_terms
+
+        def forward(s: float) -> float:
+            ph = spin * s
+            return a * s + b * (math.cos(ph) - 1.0) + c * math.sin(ph)
+
+        def slope(s: float) -> float:
+            ph = spin * s
+            co, si = math.cos(ph), math.sin(ph)
+            return -_mdot(w, [k + co * x + si * y for k, x, y in terms])
+
+        return forward, slope
 
     def center_time_of_proper_time(self, s: float) -> float:
         """Center-frame time elapsed at proper time ``s`` (linear dilation)."""
@@ -253,28 +277,23 @@ class CircularWorldLine(WorldLine):
     def proper_time_of_initial_time(
         self, t: float, residual: float = 1e-12, max_newton: int = 50
     ) -> float:
-        """Invert :meth:`initial_time_of_proper_time`.
-
-        Newton iteration from the guess t/lam^2 with a bisection fallback;
-        the forward map is strictly increasing with slope at least 1, so
-        |forward(s) - t| bounds the error in s.
-        """
-        t = float(t)
-        lam2 = self.lorentz_factor ** 2
-        speed2 = self.orbital_speed ** 2
-        return _invert_increasing(
-            self.initial_time_of_proper_time,
-            lambda s: lam2 * (1.0 - speed2 * math.cos(self._phase(s))),
-            t, t / lam2, residual, max_newton, "time inversion",
-        )
+        """Invert :meth:`initial_time_of_proper_time`: the frame-time inversion
+        of :func:`proper_time_of_frame_time` for the initial velocity."""
+        return proper_time_of_frame_time(self.initial_velocity, self, t, residual, max_newton)
 
 
-def _invert_increasing(forward, slope, t, s, residual, max_newton, what):
-    """Solve forward(s) = t for a map increasing with slope at least 1.
+def _invert_increasing(clock, t: float, residual: float = 1e-12, max_newton: int = 50) -> float:
+    """Solve forward(s) = t on a clock (forward, slope) from ``WorldLine._frame_clock``.
 
-    Newton iteration from the guess ``s`` with a bisection fallback; the
-    slope bound makes |forward(s) - t| bound the error in s.
+    Newton iteration from the guess s = t with a bisection fallback;
+    forward increases with slope at least 1, so |forward(s) - t| bounds
+    the error in s.
     """
+    t = float(t)
+    if t == 0.0:
+        return 0.0
+    forward, slope = clock
+    s = t
     for _ in range(max_newton):
         f = forward(s) - t
         if abs(f) < residual:
@@ -291,7 +310,7 @@ def _invert_increasing(forward, slope, t, s, residual, max_newton, what):
             lo = mid
         else:
             hi = mid
-    raise ConstraintViolation(f"{what} failed to converge for t = {t}")
+    raise ConstraintViolation(f"frame-time inversion failed to converge for t = {t}")
 
 
 def frame_time_of_proper_time(u: AbsoluteVelocity, line: WorldLine, s: float) -> float:
@@ -300,28 +319,15 @@ def frame_time_of_proper_time(u: AbsoluteVelocity, line: WorldLine, s: float) ->
     Zeroed at the world point of proper time 0; always increases with
     ``s`` because the dilation factor is at least 1.
     """
-    disp = line.position(s) - line.position(0.0)
-    return -lorentz_dot(u, disp)
+    return line._frame_clock(u)[0](float(s))
 
 
-def proper_time_of_frame_time(
-    u: AbsoluteVelocity,
-    line: WorldLine,
-    t: float,
-    residual: float = 1e-12,
-    max_newton: int = 50,
-) -> float:
+def proper_time_of_frame_time(u: AbsoluteVelocity, line: WorldLine, t: float,
+                              residual: float = 1e-12, max_newton: int = 50) -> float:
     """Invert :func:`frame_time_of_proper_time` for any world line.
 
     Newton iteration with a bisection fallback; the map is strictly
     increasing with slope -u.velocity(s) >= 1, so the residual bounds the
     error in s directly.
     """
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    return _invert_increasing(
-        lambda s: frame_time_of_proper_time(u, line, s),
-        lambda s: -lorentz_dot(u, line.velocity(s)),
-        t, t, residual, max_newton, "frame-time inversion",
-    )
+    return _invert_increasing(line._frame_clock(u), t, residual, max_newton)

@@ -80,6 +80,27 @@ class TestBoost:
             Boost(np.eye(4), U_06X, U_REST)  # Lorentz but wrong endpoints
 
 
+    def test_equals_the_numpy_formula(self):
+        # the float kernel forms every entry as the array formula does
+        rng = np.random.default_rng(23)
+        axis = [U_REST, U_06X, U_06Y, AbsoluteVelocity.from_3velocity([0.0, 0.0, -0.3])]
+        for k in range(300):
+            a = axis[k % 4] if k % 3 == 0 else random_velocity(rng)
+            b = axis[k % 5 % 4] if k % 2 == 0 else random_velocity(rng)
+            s = a.components + b.components
+            d = lorentz_dot(a, b)
+            expected = (np.eye(4) + np.outer(s, METRIC @ s) / (1.0 - d)
+                        - 2.0 * np.outer(a.components, METRIC @ b.components))
+            assert np.array_equal(boost(a, b).matrix, expected)
+
+    def test_returns_a_checked_read_only_boost(self):
+        b = boost(U_06X, U_06Y)
+        assert isinstance(b, Boost)
+        assert b.u_to is U_06X and b.u_from is U_06Y
+        assert not b.matrix.flags.writeable
+        assert np.array_equal(Boost(b.matrix, U_06X, U_06Y).matrix, b.matrix)
+
+
 class TestRelativeKinematics:
     def test_comoving_velocity_is_zero(self):
         assert max_abs(relative_velocity(U_REST, U_REST).components) == 0.0
@@ -95,6 +116,23 @@ class TestRelativeKinematics:
             v = relative_velocity(u, rdot)
             assert abs(lorentz_dot(u, v)) < 1e-12
             assert v.norm() < 1.0
+
+    def test_kernels_equal_the_numpy_formulas(self):
+        # the float kernels form every component as the array formulas do
+        from relkin import CircularWorldLine
+
+        rng = np.random.default_rng(24)
+        for k in range(100):
+            line = CircularWorldLine.from_plane(rng.uniform(0.05, 0.95), 1.0,
+                                                center_velocity=random_velocity(rng, 0.5))
+            s = rng.uniform(0.0, 20.0)
+            u = U_REST if k % 4 == 0 else random_velocity(rng)
+            rdot, rddot = line.velocity(s), line.acceleration(s)
+            g = -lorentz_dot(u, rdot)
+            v = rdot.components / g - u.components
+            a = (rddot.components + rdot.components * (lorentz_dot(u, rddot) / g)) / (g * g)
+            assert np.array_equal(relative_velocity(u, rdot).components, v)
+            assert np.array_equal(relative_acceleration(u, rdot, rddot).components, a)
 
     def test_acceleration_zero_case(self):
         out = relative_acceleration(U_REST, U_06X, FourVector([0, 0, 0, 0]))

@@ -6,9 +6,20 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relkin import TOL, CircularWorldLine, InertialWorldLine, Tolerances
+from relkin import (
+    TOL,
+    AbsoluteVelocity,
+    CircularWorldLine,
+    FourVector,
+    InertialWorldLine,
+    Tolerances,
+    boost,
+    lorentz_dot,
+    transport_path,
+)
 from relkin.cli import emit_csv, main, run_scenario, selftest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -120,6 +131,28 @@ class TestCsvOutputs:
         for row in rows:
             assert abs(row[header.index("vel_dot_z")]) < 1e-10
             assert abs(row[header.index("mag_drift")]) < 1e-10
+
+    def test_transport_drift_columns_are_the_object_arithmetic(self, tmp_path):
+        # vel_dot_z and mag_drift, now taken on floats, equal lorentz_dot and norm
+        # on the public objects to the last printed digit
+        scenario = tmp_path / "circ.yaml"
+        scenario.write_text(
+            "kind: transport\n"
+            "worldline: {type: circular, omega: 0.6, rho: 1.0, center_velocity: [0.2, 0.1, 0.0]}\n"
+            "gyro: [1.0, 0.5, 0.3]\n"
+            "s_min: -2.0\ns_max: 8.37758\nn_points: 17\nstep: 0.01\n"
+        )
+        out = run_scenario(scenario, out_dir=tmp_path)
+        line = CircularWorldLine.from_plane(
+            0.6, 1.0, center_velocity=AbsoluteVelocity.from_3velocity([0.2, 0.1, 0.0]))
+        carry = boost(line.velocity(-2.0), AbsoluteVelocity.rest())
+        z0 = carry(FourVector([0.0, 1.0, 0.5, 0.3]))
+        states = transport_path(line, z0, np.linspace(-2.0, 8.37758, 17), s_start=-2.0, step=0.01)
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(states)
+        for text, state in zip(rows, states):
+            expected = [lorentz_dot(line.velocity(state.s), state.z), state.z.norm() - z0.norm()]
+            assert text.split(",")[5:] == [format(x + 0.0, ".16e") for x in expected]
 
     def test_emit_csv_empty_series(self, tmp_path):
         path = emit_csv(["a", "b"], [], tmp_path / "empty.csv")
@@ -372,6 +405,8 @@ class TestScenarioNumbers:
         (NUMBER_FIELDS["rho"].replace("FIELD", "1.0e300"), 3),
         (NUMBER_FIELDS["gyro"].replace("[0.0, FIELD, 0.0]", "[1.0e300, 0.0, 1.0]"), 3),
         (NUMBER_FIELDS["center_velocity"].replace("[0.1, FIELD, 0.0]", "[1.0e300, 0.0, 0.0]"), 3),
+        # a subnormal frame-time spacing, whose reciprocal overflows
+        (NUMBER_FIELDS["t_max"].replace("FIELD", "1.0e-320"), 3),
     ])
     def test_process_prints_one_line_and_no_warning(self, text, code, tmp_path):
         scenario = tmp_path / "s.yaml"
@@ -383,6 +418,18 @@ class TestScenarioNumbers:
         assert result.returncode == code
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith(f"error code={code} ")
+
+
+    def test_subnormal_grid_spacing_is_one_error_line(self, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(NUMBER_FIELDS["t_max"].replace("FIELD", "1.0e-320"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error code=3 kind=constraint ")
+        assert "grid spacing" in err[0]
 
 
 class TestWorkBudget:

@@ -8,6 +8,7 @@ from relkin import (
     E1,
     E2,
     E3,
+    METRIC,
     AbsoluteVelocity,
     ConstraintViolation,
     FourVector,
@@ -94,6 +95,17 @@ class TestWedge:
         rng = np.random.default_rng(11)
         x, y = random_vector(rng), random_vector(rng)
         assert max_abs(wedge(x, y).matrix + wedge(y, x).matrix) == 0.0
+
+    def test_equals_the_numpy_formula(self):
+        # the float kernel forms every entry as outer(x, G y) - outer(y, G x) does
+        rng = np.random.default_rng(13)
+        basis = [E0, E1, E2, E3]
+        for k in range(200):
+            x = basis[k % 4] if k % 3 == 0 else random_vector(rng)
+            y = basis[k % 5 % 4] if k % 2 == 0 else random_vector(rng)
+            a, b = x.components, y.components
+            expected = np.outer(a, METRIC @ b) - np.outer(b, METRIC @ a)
+            assert np.array_equal(wedge(x, y).matrix, expected)
 
     def test_bilinear_entrywise(self):
         rng = np.random.default_rng(12)
@@ -185,6 +197,18 @@ class TestTypes:
             FourVector([np.inf, 0, 0, 0])
         with pytest.raises(ConstraintViolation):
             FourVector([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_non_finite_entries_are_rejected(self, bad, index):
+        c = np.zeros(4)
+        c[index] = bad
+        with pytest.raises(ConstraintViolation, match="finite"):
+            FourVector(c)
+        m = np.eye(4)
+        m[index, 3 - index] = bad
+        with pytest.raises(ConstraintViolation, match="finite"):
+            LorentzMap(m)
 
     def test_velocity_invariants(self):
         with pytest.raises(ConstraintViolation):

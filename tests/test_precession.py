@@ -3,31 +3,39 @@ import math
 import numpy as np
 import pytest
 
+import warnings
+
 from relkin import (
     E2,
     E3,
+    TOL,
     AbsoluteVelocity,
     CircularWorldLine,
     ConstraintViolation,
     DriftViolation,
     FourVector,
     InertialWorldLine,
+    boost,
     central_frame_precession,
     exp_map,
     frame_time_of_proper_time,
     initial_frame_special_instants,
     lorentz_dot,
     observe_gyroscope,
+    orthonormal_spatial_frame,
     precession_rate,
     precession_series,
     project_spatial,
+    proper_time_of_frame_time,
     rate_components,
     relative_acceleration,
     relative_velocity,
     transport_circular_exact,
+    transport_path,
     wedge,
 )
 
+import relkin.precession as precession_module
 from helpers import max_abs, random_spacelike_unit, random_velocity
 
 
@@ -90,6 +98,17 @@ class TestPrecessionRate:
         rate = precession_rate(v, a)
         expected = (1.5625 / 2.25) * wedge(v, a).matrix
         assert max_abs(rate.matrix - expected) < 1e-14
+
+    def test_equals_the_numpy_formula(self):
+        # the float kernel forms every entry as (gamma^2 / (1 + gamma)) * wedge(v, a) does
+        rng = np.random.default_rng(51)
+        for _ in range(200):
+            u = random_velocity(rng, 0.9)
+            v = random_spacelike_unit(rng, u) * rng.uniform(0.0, 0.99)
+            a = random_spacelike_unit(rng, u) * rng.uniform(0.0, 5.0)
+            gamma = 1.0 / np.sqrt(1.0 - max(lorentz_dot(v, v), 0.0))
+            expected = (gamma * gamma / (1.0 + gamma)) * wedge(v, a).matrix
+            assert np.array_equal(precession_rate(v, a).matrix, expected)
 
     def test_both_prefactor_forms_agree(self):
         rng = np.random.default_rng(52)
@@ -185,6 +204,112 @@ class TestPrecessionSeries:
             precession_series(line.center_velocity, line, z0, [0.0])
         with pytest.raises(ConstraintViolation):
             precession_series(line.center_velocity, line, z0, [0.0, 1.0, 0.5])
+
+
+def composed_series(u, line, z0, t_grid, step):
+    """precession_series as a composition of public calls, one sample at a time."""
+    ts = [float(t) for t in t_grid]
+    ss = [proper_time_of_frame_time(u, line, t) for t in ts]
+    out = []
+    for state in transport_path(line, z0, ss, step=step):
+        rdot = line.velocity(state.s)
+        v = relative_velocity(u, rdot)
+        a = relative_acceleration(u, rdot, line.acceleration(state.s))
+        out.append((boost(u, rdot)(state.z), precession_rate(v, a)))
+    z_dot = [None] + [
+        (out[k + 1][0] - out[k - 1][0]) * (1.0 / (ts[k + 1] - ts[k - 1]))
+        for k in range(1, len(ts) - 1)
+    ] + [None]
+    return [(z, rate, zd) for (z, rate), zd in zip(out, z_dot)]
+
+
+def observed_orbit(speed, observer, boosted, seed):
+    rng = np.random.default_rng(seed)
+    uc = random_velocity(rng, 0.5) if boosted else AbsoluteVelocity.rest()
+    line = CircularWorldLine.from_plane(speed / 1.3, 1.3, center_velocity=uc)
+    u = {"center": line.center_velocity, "initial": line.velocity(0.0),
+         "explicit": random_velocity(rng, 0.6)}[observer]
+    z0 = boost(line.velocity(0.0), AbsoluteVelocity.rest())(FourVector([0.0, 0.2, -0.5, 0.8]))
+    t_max = frame_time_of_proper_time(u, line, 0.3 * line.proper_period)
+    return u, line, z0, np.linspace(0.0, t_max, 40), line.proper_period / 4000
+
+
+SERIES_CASES = [
+    (speed, observer, boosted)
+    for speed in (0.1, 0.6, 0.9)
+    for observer in ("center", "initial", "explicit")
+    for boosted in (False, True)
+] + [(0.99, "center", False), (0.99, "explicit", False), (0.99, "center", True)]
+
+
+class TestSeriesIsThePublicComposition:
+    @pytest.mark.parametrize("speed,observer,boosted", SERIES_CASES)
+    def test_circular_equals_public_calls(self, speed, observer, boosted):
+        u, line, z0, grid, step = observed_orbit(speed, observer, boosted, seed=int(100 * speed))
+        samples = precession_series(u, line, z0, grid, step=step)
+        for sample, (z, rate, z_dot) in zip(samples, composed_series(u, line, z0, grid, step)):
+            assert np.array_equal(sample.z.components, z.components)
+            assert np.array_equal(sample.rate.matrix, rate.matrix)
+            if z_dot is None:
+                assert sample.z_dot is None
+            else:
+                assert np.array_equal(sample.z_dot.components, z_dot.components)
+
+    def test_inertial_equals_public_calls(self):
+        carrier = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.5, -0.2, 0.1]))
+        u = AbsoluteVelocity.from_3velocity([0.0, 0.3, 0.4])
+        z0 = project_spatial(carrier.velocity(0.0), FourVector([0.0, 0.0, 1.0, 0.4]))
+        grid = np.linspace(0.0, 5.0, 21)
+        samples = precession_series(u, carrier, z0, grid)
+        for sample, (z, rate, z_dot) in zip(samples, composed_series(u, carrier, z0, grid, None)):
+            assert np.array_equal(sample.z.components, z.components)
+            assert np.array_equal(sample.rate.matrix, rate.matrix)
+            assert (sample.z_dot is None) == (z_dot is None)
+            if z_dot is not None:
+                assert np.array_equal(sample.z_dot.components, z_dot.components)
+
+    def test_series_runs_the_boost_checks(self, monkeypatch):
+        # with no tolerance left once transport is done, the boost checks reject roundoff
+        u, line, z0, grid, step = observed_orbit(0.6, "explicit", True, seed=5)
+        transport = precession_module.transport_path
+
+        def then_no_tolerance(*args, **kwargs):
+            states = transport(*args, **kwargs)
+            monkeypatch.setattr(TOL, "constraint", 0.0)
+            return states
+
+        monkeypatch.setattr(precession_module, "transport_path", then_no_tolerance)
+        with pytest.raises(ConstraintViolation, match="boost"):
+            precession_series(u, line, z0, grid, step=step)
+
+    def test_subnormal_grid_spacing_is_a_constraint_violation(self):
+        line = standard_line()
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ConstraintViolation, match="grid spacing"):
+                precession_series(line.center_velocity, line, z0, [0.0, 5e-321, 1e-320])
+
+
+def nine_dot_rate_components(rate, u, frame):
+    # the reference formula: the full matrix fi . rate(fj), then three of its entries
+    m = np.array([[lorentz_dot(fi, rate(fj)) for fj in frame] for fi in frame])
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
+class TestRateComponents:
+    def test_equals_nine_dot_reference(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            u = random_velocity(rng, 0.9)
+            frame = orthonormal_spatial_frame(u)
+            v = random_spacelike_unit(rng, u) * rng.uniform(0.0, 0.95)
+            a = random_spacelike_unit(rng, u) * rng.uniform(0.0, 3.0)
+            for rate in (precession_rate(v, a), wedge(FourVector(rng.normal(size=4)),
+                                                     FourVector(rng.normal(size=4)))):
+                expected = nine_dot_rate_components(rate, u, frame)
+                assert np.array_equal(rate_components(rate, u, frame), expected)
+                assert np.array_equal(rate_components(rate, u), expected)
 
 
 class TestInitialFrameInstants:

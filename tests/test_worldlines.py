@@ -13,13 +13,16 @@ from relkin import (
     FourVector,
     InertialWorldLine,
     LorentzMap,
+    WorldLine,
+    boost,
     frame_time_of_proper_time,
     lorentz_dot,
+    project_spatial,
     proper_time_of_frame_time,
     wedge,
 )
 
-from helpers import max_abs, random_velocity
+from helpers import max_abs, random_spacelike_unit, random_velocity
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -191,3 +194,74 @@ class TestTimeConversions:
             s = rng.uniform(-2.0, 8.0)
             t = frame_time_of_proper_time(u, line, s)
             assert abs(proper_time_of_frame_time(u, line, t) - s) < 1e-10
+
+
+class GenericLine(WorldLine):
+    """A line known only through position, velocity and acceleration.
+
+    It delegates them to another line and keeps the base class's generic
+    frame clock, so it is the reference for the closed-form clocks.
+    """
+
+    def __init__(self, line):
+        self.line = line
+        self.default_step = line.default_step
+
+    def position(self, s):
+        return self.line.position(s)
+
+    def velocity(self, s):
+        return self.line.velocity(s)
+
+    def acceleration(self, s):
+        return self.line.acceleration(s)
+
+
+def random_orbit(rng) -> CircularWorldLine:
+    uc = random_velocity(rng, 0.6)
+    carry = boost(uc, AbsoluteVelocity.rest())
+    p1 = carry(random_spacelike_unit(rng, AbsoluteVelocity.rest()))
+    p2 = project_spatial(uc, carry(random_spacelike_unit(rng, AbsoluteVelocity.rest())))
+    p2 = p2 - p1 * lorentz_dot(p1, p2)
+    rho = rng.uniform(0.3, 3.0)
+    return CircularWorldLine.from_plane(rng.uniform(0.05, 0.98) / rho, rho,
+                                        plane=(p1, p2 / p2.norm()), center_velocity=uc)
+
+
+class TestFrameClock:
+    def test_closed_form_clocks_match_the_generic_clock(self):
+        rng = np.random.default_rng(71)
+        for k in range(60):
+            line = random_orbit(rng) if k % 4 else InertialWorldLine(random_velocity(rng, 0.9))
+            u = random_velocity(rng, 0.9)
+            forward, slope = line._frame_clock(u)
+            ref_forward, ref_slope = GenericLine(line)._frame_clock(u)
+            for s in rng.uniform(-3.0, 30.0, size=10):
+                t = ref_forward(s)
+                assert abs(forward(s) - t) <= 1e-13 * max(1.0, abs(t))
+                assert abs(slope(s) - ref_slope(s)) <= 1e-13 * abs(ref_slope(s))
+
+    def test_generic_line_still_inverts(self):
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            line = random_orbit(rng)
+            generic = GenericLine(line)
+            u = random_velocity(rng, 0.9)
+            for s in rng.uniform(-2.0, 20.0, size=5):
+                t = frame_time_of_proper_time(u, generic, s)
+                assert abs(proper_time_of_frame_time(u, generic, t) - s) < 1e-10
+                assert abs(proper_time_of_frame_time(u, line, t) - s) < 1e-10
+
+    def test_forward_and_inverse_read_one_clock(self):
+        rng = np.random.default_rng(73)
+        line = random_orbit(rng)
+        u = random_velocity(rng, 0.9)
+        for t in rng.uniform(-5.0, 50.0, size=50):
+            s = proper_time_of_frame_time(u, line, t)
+            assert abs(frame_time_of_proper_time(u, line, s) - t) < 1e-12
+
+    def test_center_frame_of_a_rest_center_is_exact_dilation(self):
+        line = standard_line(0.9, 1.0)
+        for s in np.linspace(0.0, 3.0 * line.proper_period, 97):
+            t = frame_time_of_proper_time(line.center_velocity, line, s)
+            assert t == line.center_time_of_proper_time(s)
