@@ -4,8 +4,9 @@ Absolute Lorentz boosts between four-velocities, the residual rotation of
 boost chains, Fermi-Walker transport of gyroscopic vectors with an exact
 circular-orbit operator, and the precession any inertial frame observes.
 Everything is exact linear algebra on four-vectors in natural units
-(c = 1, signature -+++); the only numerics are a fixed-step RK4 propagator
-and the matrix exponential, each cross-validated against closed forms.
+(c = 1, signature -+++).  The one numerical engine is a fixed-step RK4
+propagator, cross-validated against closed forms; the Lorentz exponential
+is itself a closed form, with a series only for near-null generators.
 """
 
 from .boosts import (

@@ -17,10 +17,10 @@ import numpy as np
 from .config import TOL
 from .errors import ConstraintViolation
 from .minkowski import (
-    METRIC,
     AbsoluteVelocity,
     FourVector,
     LorentzMap,
+    _form_error,
     _lowered,
     _mdot,
     lorentz_dot,
@@ -42,7 +42,7 @@ class Boost(LorentzMap):
 
 def _require_boost(m: np.ndarray, u_to, u_from, tol: float) -> None:
     # the checks every boost matrix passes: the Lorentz form, and u_from carried onto u_to
-    if not float(abs(m.T @ METRIC @ m - METRIC).max()) <= tol:
+    if not _form_error(m) <= tol:
         raise ConstraintViolation("boost matrix does not preserve the Lorentz form")
     if not float(abs(m @ u_from - u_to).max()) <= tol:
         raise ConstraintViolation("boost does not map u_from to u_to")

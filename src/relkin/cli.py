@@ -48,13 +48,6 @@ from .worldlines import CircularWorldLine, InertialWorldLine, WorldLine
 
 _ENV_OUT = "RELKIN_OUT"
 
-_KINDS = {"boost-compose", "circular-thomas", "transport", "precess"}
-_ALLOWED_KEYS = {
-    "boost-compose": {"kind", "velocity1", "velocity2"},
-    "circular-thomas": {"kind", "omega", "rho", "center_velocity", "plane", "step"},
-    "transport": {"kind", "worldline", "gyro", "s_min", "s_max", "n_points", "step"},
-    "precess": {"kind", "worldline", "frame", "gyro", "t_min", "t_max", "n_points", "step"},
-}
 _WORLDLINE_KEYS = {
     "circular": {"type", "omega", "rho", "center_velocity", "plane"},
     "inertial": {"type", "velocity"},
@@ -274,11 +267,15 @@ def _run_precess(cfg: dict, out_path: Path, step: float | None, tol: float | Non
     return emit_csv(header, rows, out_path)
 
 
-_RUNNERS = {
-    "boost-compose": (_run_boost_compose, ".report.txt"),
-    "circular-thomas": (_run_circular_thomas, ".report.txt"),
-    "transport": (_run_transport, ".csv"),
-    "precess": (_run_precess, ".csv"),
+#: Scenario kind -> (runner, output suffix, allowed fields).
+_KINDS = {
+    "boost-compose": (_run_boost_compose, ".report.txt", {"kind", "velocity1", "velocity2"}),
+    "circular-thomas": (_run_circular_thomas, ".report.txt",
+                        {"kind", "omega", "rho", "center_velocity", "plane", "step"}),
+    "transport": (_run_transport, ".csv",
+                  {"kind", "worldline", "gyro", "s_min", "s_max", "n_points", "step"}),
+    "precess": (_run_precess, ".csv",
+                {"kind", "worldline", "frame", "gyro", "t_min", "t_max", "n_points", "step"}),
 }
 
 
@@ -294,9 +291,9 @@ def _load_scenario(path: Path) -> dict:
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario file must contain a mapping")
     kind = cfg.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list or mapping is unhashable
         raise ScenarioError(f"scenario kind must be one of {sorted(_KINDS)}, got {kind!r}")
-    unknown = set(cfg) - _ALLOWED_KEYS[kind]
+    unknown = set(cfg) - _KINDS[kind][2]
     if unknown:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
     return cfg
@@ -321,7 +318,7 @@ def run_scenario(
     step = cfg.get("step") if step is None else step
     step = None if step is None else _number(step, "step", positive=True)
     tol = None if tol is None else _number(tol, "tolerance", positive=True)
-    runner, suffix = _RUNNERS[cfg["kind"]]
+    runner, suffix, _ = _KINDS[cfg["kind"]]
     if out_dir is None:
         out_dir = os.environ.get(_ENV_OUT) or os.getcwd()
     out_dir = Path(out_dir)

@@ -160,8 +160,7 @@ class LorentzMap:
     def is_lorentz(self, tol: float | None = None) -> bool:
         """True when the map preserves the Lorentz form on the fixed basis."""
         tol = TOL.constraint if tol is None else tol
-        residual = self.matrix.T @ METRIC @ self.matrix - METRIC
-        return float(np.max(np.abs(residual))) <= tol
+        return _form_error(self.matrix) <= tol
 
     def is_antisymmetric(self, tol: float | None = None) -> bool:
         """True when (Ax).y = -x.(Ay) on the fixed basis."""
@@ -185,6 +184,14 @@ def lorentz_dot(x: FourVector, y: FourVector) -> float:
     """
     # on Python floats, which overflow to inf or nan without a numpy warning
     return _mdot(x.components.tolist(), y.components.tolist())
+
+
+def _form_error(m: np.ndarray) -> float:
+    """Largest entry of |m^T G m - G|: how far m is from preserving the Lorentz form.
+
+    NaN when m's entries are, so a check ``not _form_error(m) <= tol`` rejects it.
+    """
+    return float(np.max(np.abs(m.T @ METRIC @ m - METRIC)))
 
 
 def _mdot(a, b) -> float:
@@ -224,13 +231,57 @@ def _wedge(a, b, k: float = 1.0) -> np.ndarray:
 def exp_map(generator: LorentzMap, t: float = 1.0) -> LorentzMap:
     """Exponential e^(t A) of an antisymmetric map, a Lorentz transformation.
 
+    In closed form (Coll & San Jose, Gen. Rel. Grav. 22, 811 (1990)).
     Rejects generators that are not antisymmetric with respect to the
     Lorentz form, since only those exponentiate to form-preserving maps.
     """
-    from scipy.linalg import expm  # here, not at import: no other path needs scipy
     if not generator.is_antisymmetric():
         raise ConstraintViolation("exp_map needs an antisymmetric generator")
-    return LorentzMap(expm(float(t) * generator.matrix))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # LorentzMap rejects inf and nan
+            return LorentzMap(_lorentz_exp(generator.matrix, float(t)))
+    except (OverflowError, ValueError) as exc:  # math.sinh overflows, math.sin(inf)
+        raise ConstraintViolation(f"exp_map of this generator at t = {t} overflows") from exc
+
+
+def _lorentz_exp(m: np.ndarray, t: float) -> np.ndarray:
+    """e^(t m) for an antisymmetric m, whose eigenvalues are +-a and +-ib.
+
+    p = a^2 - b^2 = 1/2 tr m^2 and q = a^2 b^2 = Pf(G m)^2; the smaller
+    square is q over the larger, so neither comes from a cancellation.
+    With r = a^2 + b^2, the boost part B = (m^3 + b^2 m)/r and the rotation
+    part R = (a^2 m - m^3)/r satisfy B R = 0, so e^(t m) = e^(t R) + e^(t B) - I.
+    Where r t^2 < 1 that split loses accuracy, and the Taylor series in
+    I, m, m^2, m^3, reduced by m^4 = p m^2 + q I, is summed instead.
+    """
+    m2 = m @ m
+    m3 = m2 @ m
+    p = 0.5 * float(np.trace(m2))
+    pf = float(m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2])
+    q, r = pf * pf, math.hypot(p, 2.0 * abs(pf))
+    if not r * t * t >= 1.0:
+        c = (1.0, 0.0, 0.0, 0.0)  # coefficients of I, m, m^2, m^3, by Horner's rule
+        for k in range(30, 0, -1):
+            f = t / k
+            c = (1.0 + f * q * c[3], f * c[0], f * (c[1] + p * c[3]), f * c[2])
+        return c[0] * np.eye(4) + c[1] * m + c[2] * m2 + c[3] * m3
+    big = 0.5 * (r + abs(p))
+    a2, b2 = (big, q / big) if p >= 0.0 else (q / big, big)
+    out = _elliptic_exp((a2 * m - m3) / r, math.sqrt(b2), t)  # e^(t R)
+    a = math.sqrt(a2)
+    if a > 0.0:  # plus e^(t B) - I, its cosh - 1 written as 2 sinh^2(a t / 2)
+        bp = (m3 + b2 * m) / r
+        sh = math.sinh(0.5 * a * t) / a
+        out = out + (math.sinh(a * t) / a) * bp + (2.0 * sh * sh) * (bp @ bp)
+    return out
+
+
+def _elliptic_exp(m: np.ndarray, rate: float, t: float) -> np.ndarray:
+    # exact exponential for antisymmetric maps with m^3 = -rate^2 m
+    if rate == 0.0:
+        return np.eye(4)
+    ph = rate * t
+    return np.eye(4) + (math.sin(ph) / rate) * m + ((1.0 - math.cos(ph)) / rate ** 2) * (m @ m)
 
 
 def antisymmetric_magnitude(generator: LorentzMap, tol: float | None = None) -> float:

@@ -25,6 +25,8 @@ from .minkowski import (
     METRIC,
     FourVector,
     LorentzMap,
+    _elliptic_exp,
+    _form_error,
     _mdot,
     wedge,
 )
@@ -245,7 +247,7 @@ def transport_operator_numeric(
     tol = TOL.numeric if tol is None else tol
     step = _resolve_step(line, abs(s2 - s1), step)
     m = _rk4_operator(line, np.eye(4), s1, s2, step)
-    form = float(np.max(np.abs(m.T @ METRIC @ m - METRIC)))
+    form = _form_error(m)
     if not form <= tol:
         raise DriftViolation(
             f"transport operator form error {form} exceeds {tol} (step too large)"
@@ -274,14 +276,6 @@ def circular_transport_generator(line: CircularWorldLine) -> LorentzMap:
     rate2 = line.angular_rate ** 2
     boost_part = wedge(line.center_velocity, line.radius_vector)
     return lam2 * line.angular_velocity + (lam2 * rate2) * boost_part
-
-
-def _elliptic_exp(m: np.ndarray, rate: float, t: float) -> np.ndarray:
-    # exact exponential for antisymmetric maps with m^3 = -rate^2 m
-    if rate == 0.0:
-        return np.eye(4)
-    ph = rate * t
-    return np.eye(4) + (math.sin(ph) / rate) * m + ((1.0 - math.cos(ph)) / rate ** 2) * (m @ m)
 
 
 def transport_circular_exact(

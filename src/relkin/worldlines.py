@@ -287,12 +287,15 @@ def _invert_increasing(clock, t: float, residual: float = 1e-12, max_newton: int
 
     Newton iteration from the guess s = t with a bisection fallback;
     forward increases with slope at least 1, so |forward(s) - t| bounds
-    the error in s.
+    the error in s.  Both stop once that residual is below ``residual``
+    or 8 ulp of t, whichever is larger: a large t cannot be resolved more
+    finely, and below |t| = 1024 the ulp floor lies under the default.
     """
     t = float(t)
     if t == 0.0:
         return 0.0
     forward, slope = clock
+    residual = max(residual, 8.0 * math.ulp(t))
     s = t
     for _ in range(max_newton):
         f = forward(s) - t

@@ -100,6 +100,12 @@ class TestBoost:
         assert not b.matrix.flags.writeable
         assert np.array_equal(Boost(b.matrix, U_06X, U_06Y).matrix, b.matrix)
 
+    def test_rejects_a_matrix_off_the_lorentz_form(self):
+        with pytest.raises(ConstraintViolation, match="does not preserve the Lorentz form"):
+            Boost(np.diag([1.0, 1.0, 1.0, 1.0 + 1e-11]), U_REST, U_REST)
+        with pytest.raises(ConstraintViolation, match="does not map u_from to u_to"):
+            Boost(np.eye(4), U_06X, U_REST)
+
 
 class TestRelativeKinematics:
     def test_comoving_velocity_is_zero(self):

@@ -242,7 +242,39 @@ class TestCliProcess:
         assert out.exists()
 
 
+KIND_LIST = "['boost-compose', 'circular-thomas', 'precess', 'transport']"
+
+
 class TestSchemaValidation:
+    @pytest.mark.parametrize("text,got", [
+        ("kind: warp\n", "'warp'"),
+        ("velocity1: [0.1, 0.0, 0.0]\n", "None"),
+        ("kind: [transport]\n", "['transport']"),
+        ("kind: {a: 1}\n", "{'a': 1}"),
+    ])
+    def test_kind_error_is_one_parse_line(self, text, got, tmp_path, capsys):
+        bad = tmp_path / "kind.yaml"
+        bad.write_text(text)
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f'error code=2 kind=parse message="scenario kind must be one of {KIND_LIST}, '
+            f'got {got}"'
+        ]
+
+    @pytest.mark.parametrize("kind,field", [
+        ("boost-compose", "step"),
+        ("circular-thomas", "gyro"),
+        ("transport", "frame"),
+        ("precess", "s_max"),
+    ])
+    def test_fields_of_another_kind_are_rejected(self, kind, field, tmp_path, capsys):
+        bad = tmp_path / "extra.yaml"
+        bad.write_text(f"kind: {kind}\n{field}: 1\n")
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f'error code=2 kind=parse message="unknown scenario fields: [\'{field}\']"'
+        ]
+
     def test_unknown_field_rejected(self, tmp_path):
         bad = tmp_path / "extra.yaml"
         bad.write_text(
@@ -476,7 +508,7 @@ class TestWorkBudget:
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy.linalg serves only exp_map, which imports it on first use
+    # scipy is no dependency: importing the CLI must not load it
     result = subprocess.run(
         [sys.executable, "-c", "import sys, relkin.cli; print('scipy.linalg' in sys.modules)"],
         capture_output=True, text=True,

@@ -20,6 +20,7 @@ from relkin import (
     project_spatial,
     wedge,
 )
+from relkin.minkowski import _form_error
 
 from helpers import max_abs, random_vector, random_velocity
 
@@ -158,6 +159,86 @@ class TestExpMap:
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(ConstraintViolation):
             exp_map(LorentzMap(np.diag([1.0, 2.0, 3.0, 4.0])))
+
+    def test_form_is_kept_to_rounding(self):
+        # one- and two-wedge generators; the closed form keeps the Lorentz
+        # form to a few hundred ulp of the result's squared scale
+        rng = np.random.default_rng(15)
+        for k in range(500):
+            gen = wedge(random_vector(rng), random_vector(rng))
+            if k % 2:
+                gen = gen + wedge(random_vector(rng), random_vector(rng))
+            ex = exp_map(gen, rng.uniform(-10.0, 10.0)).matrix
+            assert _form_error(ex) <= 1e-12 * max(1.0, max_abs(ex) ** 2)
+
+    def test_overflow_and_non_finite_time_are_constraint_violations(self):
+        for t in (1.0e3, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConstraintViolation):
+                exp_map(wedge(E0, E1), t)
+        with pytest.raises(ConstraintViolation):
+            exp_map(wedge(E1, E2), math.inf)
+
+
+def generator_families(rng):
+    """Makers of antisymmetric generators in five families, by name."""
+    def frame():
+        u = random_velocity(rng, 0.9)
+        return (u, *orthonormal_spatial_frame(u))
+
+    def rotation():
+        _, f1, f2, _ = frame()
+        return rng.uniform(0.05, 2.0) * wedge(f1, f2)
+
+    def boost():
+        u, f1, _, _ = frame()
+        return rng.uniform(0.05, 2.0) * wedge(u, f1)
+
+    def two_wedge():
+        return (wedge(random_vector(rng), random_vector(rng))
+                + wedge(random_vector(rng), random_vector(rng)))
+
+    def null_rotation():
+        # u + f1 is null and f2 is orthogonal to it, so the generator cubes to zero
+        u, f1, f2, _ = frame()
+        return rng.uniform(0.1, 2.0) * wedge(u + f1, f2)
+
+    def perturbed_null_rotation():
+        eps = 10.0 ** rng.uniform(-12.0, -2.0)
+        return null_rotation() + eps * wedge(random_vector(rng), random_vector(rng))
+
+    return {f.__name__: f for f in (rotation, boost, two_wedge, null_rotation,
+                                    perturbed_null_rotation)}
+
+
+class TestExpMapOracle:
+    def test_matches_a_50_digit_exponential(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(81)
+        worst = {}
+        with mpmath.workdps(50):
+            for name, make in generator_families(rng).items():
+                for _ in range(60):
+                    gen, t = make(), rng.uniform(-3.0, 3.0)
+                    exact = mpmath.expm(mpmath.matrix(gen.matrix.tolist()) * mpmath.mpf(t))
+                    ref = np.array(exact.tolist(), dtype=float)
+                    err = max_abs(exp_map(gen, t).matrix - ref) / max(1.0, max_abs(ref))
+                    worst[name] = max(worst.get(name, 0.0), err)
+        assert len(worst) == 5
+        assert max(worst.values()) <= 1e-13, worst
+
+
+class TestFormError:
+    def test_largest_entry_of_the_form_residual(self):
+        assert _form_error(np.eye(4)) == 0.0
+        assert _form_error(np.diag([2.0, 1.0, 1.0, 1.0])) == 3.0
+        assert math.isnan(_form_error(np.diag([math.nan, 1.0, 1.0, 1.0])))
+
+    def test_is_lorentz_compares_at_most_tol(self):
+        m = LorentzMap(np.diag([1.0, 1.0, 1.0, 1.0 + 1e-11]))
+        err = _form_error(m.matrix)
+        assert m.is_lorentz(err)
+        assert not m.is_lorentz(math.nextafter(err, 0.0))
+        assert not m.is_lorentz()
 
 
 class TestOrthonormalSpatialFrame:

@@ -34,7 +34,7 @@ from relkin import (
 
 from relkin.transport import MAX_STEPS, _generators
 
-from helpers import max_abs, random_spacelike_unit
+from helpers import max_abs, random_spacelike_unit, random_velocity
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -437,6 +437,11 @@ class TestTransportOperator:
         moved = op.matrix @ line.velocity(s1).components
         assert max_abs(moved - line.velocity(s2).components) < 1e-10
 
+    def test_form_error_is_a_drift_violation(self):
+        line = standard_line()
+        with pytest.raises(DriftViolation, match="transport operator form error 0.0125"):
+            transport_operator_numeric(line, 0.0, line.proper_period, step=1.0)
+
     def test_one_period_matches_corotating_exponential(self):
         line = standard_line()
         period = line.proper_period
@@ -503,6 +508,29 @@ class TestExactCircularTransport:
         line = standard_line()
         with pytest.raises(ConstraintViolation):
             transport_circular_exact(line, E2, 1.0)
+
+    def test_is_the_two_term_formula(self):
+        # both commuting-plane factors are I + sin(ph)/w m + (1 - cos(ph))/w^2 m^2,
+        # evaluated in this order; the operator_angle_rad golden rests on these bits
+        def two_term(m, rate, t):
+            ph = rate * t
+            return (np.eye(4) + (math.sin(ph) / rate) * m
+                    + ((1.0 - math.cos(ph)) / rate ** 2) * (m @ m))
+
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            rho = rng.uniform(0.3, 3.0)
+            line = CircularWorldLine.from_plane(rng.uniform(0.05, 0.98) / rho, rho,
+                                                center_velocity=random_velocity(rng, 0.6))
+            gen = circular_transport_generator(line).matrix
+            spin = line.lorentz_factor * line.angular_rate
+            z0 = random_spacelike_unit(rng, line.initial_velocity)
+            t = rng.uniform(-20.0, 20.0)
+            expected = two_term(line.angular_velocity.matrix, line.angular_rate, t) @ (
+                two_term(gen, spin, -t) @ z0.components)
+            assert transport_circular_exact(line, z0, t).components.tobytes() == expected.tobytes()
+            rot = thomas_rotation_circular(line)
+            assert rot.matrix.tobytes() == two_term(gen, spin, -line.center_period).tobytes()
 
 
 def _initial_frame(line):

@@ -186,6 +186,24 @@ class TestTimeConversions:
             assert abs(s_back - s) < 1e-10
             assert abs(line.initial_time_of_proper_time(s_back) - t) < 1e-12
 
+    def test_inversion_converges_at_large_frame_times(self):
+        # the stopping residual is floored at 8 ulp of t: an absolute 1e-12
+        # is finer than the spacing of doubles above |t| = 1024
+        line = standard_line()
+        u = AbsoluteVelocity.from_3velocity([0.3, 0.1, 0.0])
+        rng = np.random.default_rng(41)
+        for decade in range(3, 7):
+            for t in rng.uniform(10.0 ** decade, 10.0 ** (decade + 1), size=200):
+                s = proper_time_of_frame_time(u, line, t)
+                assert abs(frame_time_of_proper_time(u, line, s) - t) <= 8.0 * math.ulp(t)
+
+    def test_inversion_keeps_the_absolute_residual_below_1024(self):
+        line = standard_line()
+        u = AbsoluteVelocity.from_3velocity([0.3, 0.1, 0.0])
+        for t in np.random.default_rng(42).uniform(-1023.0, 1023.0, size=200):
+            s = proper_time_of_frame_time(u, line, t)
+            assert abs(frame_time_of_proper_time(u, line, s) - t) < 1e-12
+
     def test_generic_inversion_random_frames(self):
         line = standard_line(0.9, 1.0)
         rng = np.random.default_rng(32)
