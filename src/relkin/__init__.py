@@ -60,7 +60,6 @@ from .precession import (
 from .transport import (
     GyroState,
     ThomasAngle,
-    TransportOperator,
     circular_thomas_angle,
     circular_transport_generator,
     fermi_walker_derivative,
@@ -106,7 +105,6 @@ __all__ = [
     "ThomasAngle",
     "TOL",
     "Tolerances",
-    "TransportOperator",
     "VelocityMismatch",
     "WorldLine",
     "ZERO",

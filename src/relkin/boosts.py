@@ -49,28 +49,31 @@ def _require_boost(m: np.ndarray, u_to, u_from, tol: float) -> None:
 
 
 class SpatialRotation(LorentzMap):
-    """Lorentz map fixing a velocity ``u`` and rotating its space vectors."""
+    """Lorentz map fixing a velocity ``u`` and rotating its space vectors.
+
+    Keeps the canonical frame of ``u`` as ``frame`` and checks the map's
+    restriction to it once, at construction; a NaN fails every check.
+    """
 
     def __init__(self, matrix, u: AbsoluteVelocity, tol: float | None = None):
         super().__init__(matrix)
         tol = TOL.constraint if tol is None else tol
-        if float(np.max(np.abs(self.matrix @ u.components - u.components))) > tol:
+        if not float(np.max(np.abs(self.matrix @ u.components - u.components))) <= tol:
             raise ConstraintViolation("rotation does not fix its velocity")
         self.u = u
-        r = self.restriction()
-        if float(np.max(np.abs(r.T @ r - np.eye(3)))) > tol:
+        self.frame = orthonormal_spatial_frame(u)
+        cols = [self.matrix @ fj.components for fj in self.frame]
+        self._restriction = r = np.array([[float(_mdot(fi.components, c)) for c in cols]
+                                          for fi in self.frame])
+        r.setflags(write=False)
+        if not float(np.max(np.abs(r.T @ r - np.eye(3)))) <= tol:
             raise ConstraintViolation("restriction to the spatial subspace is not orthogonal")
-        if abs(float(np.linalg.det(r)) - 1.0) > tol:
+        if not abs(float(np.linalg.det(r)) - 1.0) <= tol:
             raise ConstraintViolation("restriction must have determinant +1")
 
-    def restriction(self, frame=None) -> np.ndarray:
-        """3x3 matrix of the map on the space vectors of ``u``.
-
-        Uses the canonical orthonormal frame unless one is supplied.
-        """
-        f = orthonormal_spatial_frame(self.u) if frame is None else frame
-        cols = [self.matrix @ fj.components for fj in f]
-        return np.array([[float(_mdot(fi.components, c)) for c in cols] for fi in f])
+    def restriction(self) -> np.ndarray:
+        """Read-only 3x3 matrix of the map on the space vectors of ``u``, in ``frame``."""
+        return self._restriction
 
 
 def boost(u_to: AbsoluteVelocity, u_from: AbsoluteVelocity) -> Boost:
@@ -169,12 +172,6 @@ def thomas_rotation_discrete(
     return SpatialRotation(m, u, tol=tol)
 
 
-def _canonical_axis_sign(a: np.ndarray) -> np.ndarray:
-    # sign convention: first non-negligible component positive
-    idx = int(np.nonzero(np.abs(a) > 1e-9)[0][0])
-    return -a if a[idx] < 0.0 else a
-
-
 def rotation_angle_axis(
     rotation: SpatialRotation,
 ) -> tuple[float, FourVector | None]:
@@ -185,10 +182,10 @@ def rotation_angle_axis(
     right-handed rotation about that axis.  Below ``TOL.degenerate_angle``
     the axis is ill-conditioned and ``None`` is returned instead.  The
     reported axis is not continuous in the rotation: it flips direction
-    as the angle crosses zero.
+    as the angle crosses zero.  Reads the frame and restriction that the
+    rotation kept when it was checked, so nothing is rebuilt.
     """
-    frame = orthonormal_spatial_frame(rotation.u)
-    m = rotation.restriction(frame)
+    frame, m = rotation.frame, rotation.restriction()
     cos_t = min(1.0, max(-1.0, 0.5 * (float(np.trace(m)) - 1.0)))
     # the axial part has magnitude 2|sin(angle)|
     w = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
@@ -204,7 +201,8 @@ def rotation_angle_axis(
         a = a / np.linalg.norm(a)
     else:
         a = w / wnorm
-    a = _canonical_axis_sign(a)
+    # sign convention: the first non-negligible component is positive
+    a = -a if a[int(np.nonzero(np.abs(a) > 1e-9)[0][0])] < 0.0 else a
     angle = math.atan2(0.5 * float(w @ a), cos_t)
     if angle <= -math.pi:
         angle = math.pi

@@ -48,6 +48,9 @@ from .worldlines import CircularWorldLine, InertialWorldLine, WorldLine
 
 _ENV_OUT = "RELKIN_OUT"
 
+#: Most output rows one scenario may ask for; more is an input error.
+MAX_POINTS = 10**6
+
 _WORLDLINE_KEYS = {
     "circular": {"type", "omega", "rho", "center_velocity", "plane"},
     "inertial": {"type", "velocity"},
@@ -100,6 +103,8 @@ def _number(value, name: str, positive: bool = False) -> float:
         raise ScenarioError(f"field '{name}' must be a number, got {value}")
     try:
         x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"field '{name}' must be a number") from exc
     if not (math.isfinite(x) and (x > 0.0 or not positive)):
@@ -123,8 +128,8 @@ def _velocity_from_3(value, name: str) -> AbsoluteVelocity:
 def _positive_int(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(f"field '{name}' must be an integer")
-    if value < 2:
-        raise ConstraintViolation(f"field '{name}' must be at least 2, got {value}")
+    if not 2 <= value <= MAX_POINTS:
+        raise ConstraintViolation(f"field '{name}' must be from 2 to {MAX_POINTS}, got {value}")
     return value
 
 
@@ -152,7 +157,7 @@ def _worldline_from(cfg, name: str = "worldline") -> WorldLine:
     if not isinstance(cfg, dict):
         raise ScenarioError(f"field '{name}' must be a mapping with a 'type'")
     wtype = cfg.get("type")
-    if wtype not in _WORLDLINE_KEYS:
+    if not isinstance(wtype, str) or wtype not in _WORLDLINE_KEYS:  # a list is unhashable
         raise ScenarioError(f"world line type must be one of {sorted(_WORLDLINE_KEYS)}")
     unknown = set(cfg) - _WORLDLINE_KEYS[wtype]
     if unknown:
@@ -286,7 +291,7 @@ def _load_scenario(path: Path) -> dict:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         cfg = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise ScenarioError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario file must contain a mapping")

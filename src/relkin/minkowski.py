@@ -42,9 +42,6 @@ class FourVector:
         arr.setflags(write=False)
         self.components = arr
 
-    def dot(self, other: "FourVector") -> float:
-        return lorentz_dot(self, other)
-
     def norm(self) -> float:
         """Euclidean magnitude of a spacelike vector.
 
@@ -91,7 +88,7 @@ class AbsoluteVelocity(FourVector):
         super().__init__(components)
         tol = TOL.constraint if tol is None else tol
         sq = lorentz_dot(self, self)
-        if abs(sq + 1.0) > tol:
+        if not abs(sq + 1.0) <= tol:  # a NaN square fails too
             raise ConstraintViolation(f"four-velocity must square to -1, got {sq}")
         if self.components[0] <= 0.0:
             raise ConstraintViolation("four-velocity must be future directed")
@@ -133,10 +130,6 @@ class LorentzMap:
         m.setflags(write=False)
         self.matrix = m
 
-    @classmethod
-    def identity(cls) -> "LorentzMap":
-        return cls(np.eye(4))
-
     def __call__(self, x: FourVector) -> FourVector:
         return FourVector(self.matrix @ x.components)
 
@@ -167,10 +160,6 @@ class LorentzMap:
         tol = TOL.constraint if tol is None else tol
         residual = METRIC @ self.matrix + self.matrix.T @ METRIC
         return float(np.max(np.abs(residual))) <= tol
-
-    def lorentz_adjoint(self) -> "LorentzMap":
-        """Adjoint with respect to the Lorentz form: (Ax).y = x.(A*y)."""
-        return LorentzMap(METRIC @ self.matrix.T @ METRIC)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({np.array2string(self.matrix, precision=6)})"

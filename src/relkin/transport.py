@@ -41,18 +41,6 @@ class GyroState:
     z: FourVector
 
 
-class TransportOperator(LorentzMap):
-    """Lorentz map carrying gyroscopic vectors from proper time s1 to s2."""
-
-    def __init__(self, matrix, s1: float, s2: float, tol: float | None = None):
-        super().__init__(matrix)
-        tol = TOL.numeric if tol is None else tol
-        if not self.is_lorentz(tol):
-            raise ConstraintViolation("transport operator must preserve the Lorentz form")
-        self.s1 = float(s1)
-        self.s2 = float(s2)
-
-
 #: Most RK4 steps one integration call may take; asking for more is an input error.
 MAX_STEPS = 10**8
 
@@ -237,11 +225,11 @@ def transport_operator_numeric(
     s2: float,
     step: float | None = None,
     tol: float | None = None,
-) -> TransportOperator:
-    """Assemble the transport map s1 -> s2 by integrating basis vectors.
+) -> LorentzMap:
+    """Transport map s1 -> s2 as a ``LorentzMap``, by integrating basis vectors.
 
-    The result preserves the Lorentz form and carries the velocity at
-    ``s1`` to the velocity at ``s2``, both within ``tol``.
+    A form error, or an error carrying the velocity at ``s1`` to that at
+    ``s2``, above ``tol`` (default ``TOL.numeric``) is a ``DriftViolation``.
     """
     s1, s2 = float(s1), float(s2)
     tol = TOL.numeric if tol is None else tol
@@ -259,7 +247,7 @@ def transport_operator_numeric(
         raise DriftViolation(
             f"transport operator endpoint error {endpoint} exceeds {tol} (step too large)"
         )
-    return TransportOperator(m, s1, s2, tol=tol)
+    return LorentzMap(m)
 
 
 def circular_transport_generator(line: CircularWorldLine) -> LorentzMap:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from relkin import boosts
 from relkin import (
     E0,
     E3,
@@ -270,6 +271,44 @@ class TestRotationAngleAxis:
     def test_validates_input(self):
         with pytest.raises(ConstraintViolation):
             SpatialRotation(explicit_x_boost(0.6), U_REST)
+
+    def test_finite_matrix_with_nan_image_of_u_is_rejected(self):
+        # m @ u overflows to inf - inf = NaN; before, the NaN restriction was
+        # accepted and rotation_angle_axis raised an untyped IndexError
+        m = np.zeros((4, 4))
+        m[:, 0], m[:, 1] = 1.7e308, -1.7e308
+        u = AbsoluteVelocity.from_3velocity([0.98, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConstraintViolation, match="does not fix its velocity"):
+                SpatialRotation(m, u)
+
+
+class TestRotationKeepsItsFrame:
+    def test_one_frame_per_rotation_and_none_per_read(self, monkeypatch):
+        calls = []
+        build = boosts.orthonormal_spatial_frame
+
+        def spy(u):
+            calls.append(u)
+            return build(u)
+
+        monkeypatch.setattr(boosts, "orthonormal_spatial_frame", spy)
+        u = AbsoluteVelocity.from_3velocity([0.1, -0.2, 0.3])
+        rot = thomas_rotation_discrete(u, U_06X, U_06Y)
+        assert calls == [u]
+        rotation_angle_axis(rot)
+        assert calls == [u]
+        assert [f.components.tobytes() for f in rot.frame] == [
+            f.components.tobytes() for f in build(u)]
+
+    def test_restriction_is_kept_and_read_only(self):
+        rot = thomas_rotation_discrete(U_REST, U_06X, U_06Y)
+        r = rot.restriction()
+        assert r is rot.restriction()
+        with pytest.raises(ValueError):
+            r[0, 0] = 2.0
+        expected = [[lorentz_dot(fi, rot(fj)) for fj in rot.frame] for fi in rot.frame]
+        assert r.tobytes() == np.array(expected).tobytes()
 
 
 class TestCoplanar:

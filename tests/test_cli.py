@@ -20,7 +20,7 @@ from relkin import (
     lorentz_dot,
     transport_path,
 )
-from relkin.cli import emit_csv, main, run_scenario, selftest
+from relkin.cli import MAX_POINTS, emit_csv, main, run_scenario, selftest
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -39,6 +39,12 @@ INERTIAL_TRANSPORT = (
     "worldline: {type: inertial, velocity: [0.1, 0.0, 0.0]}\n"
     "gyro: [0.0, 1.0, 0.0]\n"
     "s_min: 0.0\ns_max: 1.0\nn_points: 2\n"
+)
+CIRCULAR_PRECESS = (
+    "kind: precess\n"
+    "worldline: {type: circular, omega: 0.6, rho: 1.0}\n"
+    "frame: center\ngyro: [1.0, 0.0, 0.0]\n"
+    "t_min: 0.0\nt_max: 1.0\nn_points: 2\n"
 )
 # half a revolution at speed 0.6 on a step of P/100: the drift per step
 # lies between the 1e-8 default and 1e-6
@@ -275,6 +281,16 @@ class TestSchemaValidation:
             f'error code=2 kind=parse message="unknown scenario fields: [\'{field}\']"'
         ]
 
+    @pytest.mark.parametrize("wtype", ["[circular]", "{a: 1}"])
+    def test_unhashable_world_line_type_is_one_parse_line(self, wtype, tmp_path, capsys):
+        bad = tmp_path / "line.yaml"
+        bad.write_text(INERTIAL_TRANSPORT.replace("type: inertial", f"type: {wtype}"))
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error code=2 kind=parse message=\"world line type must be one of "
+            "['circular', 'inertial']\""
+        ]
+
     def test_unknown_field_rejected(self, tmp_path):
         bad = tmp_path / "extra.yaml"
         bad.write_text(
@@ -452,6 +468,17 @@ class TestScenarioNumbers:
         assert result.stderr.startswith(f"error code={code} ")
 
 
+    @pytest.mark.parametrize("digits,code,kind", [(400, 3, "constraint"), (5000, 2, "parse")])
+    def test_integer_beyond_float_range_is_one_error_line(self, digits, code, kind, tmp_path,
+                                                          capsys):
+        # 10**400 overflows float(); an integer of over 4300 digits fails YAML's int()
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(NUMBER_FIELDS["s_max"].replace("FIELD", "1" + "0" * digits))
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error code={code} kind={kind} ")
+
     def test_subnormal_grid_spacing_is_one_error_line(self, tmp_path, capsys):
         scenario = tmp_path / "s.yaml"
         scenario.write_text(NUMBER_FIELDS["t_max"].replace("FIELD", "1.0e-320"))
@@ -487,6 +514,21 @@ class TestWorkBudget:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "more than the limit" in err[0]
+
+    @pytest.mark.parametrize("kind", ["transport", "precess"])
+    @pytest.mark.parametrize("n", [10**12, 10**300, MAX_POINTS + 1],
+                             ids=["1e12", "1e300", "MAX_POINTS+1"])
+    def test_too_many_points_exits_3_before_allocating(self, kind, n, tmp_path, capsys):
+        text = INERTIAL_TRANSPORT if kind == "transport" else CIRCULAR_PRECESS
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(text.replace("n_points: 2", f"n_points: {n}"))
+        start = time.perf_counter()
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error code=3 kind=constraint ")
+        assert f"from 2 to {MAX_POINTS}" in err[0]
 
     def test_inertial_default_step_is_one_step_per_row(self, tmp_path, monkeypatch):
         # a span / 10 000 rule per output segment would take 1e4 steps per row,

@@ -299,6 +299,11 @@ class TestTypes:
         with pytest.raises(ConstraintViolation):
             AbsoluteVelocity.from_3velocity([1.0, 0.0, 0.0])
 
+    def test_velocity_whose_square_is_nan_is_rejected(self):
+        # -1e400 + 1e400 overflows to -inf + inf = NaN, which must not pass as -1
+        with pytest.raises(ConstraintViolation, match="square to -1, got nan"):
+            AbsoluteVelocity([1e200, 1e200, 0.0, 0.0])
+
     def test_immutability(self):
         x = FourVector([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import relkin
 from relkin import (
     E2,
     E3,
@@ -13,6 +14,7 @@ from relkin import (
     DriftViolation,
     FourVector,
     InertialWorldLine,
+    LorentzMap,
     VelocityMismatch,
     boost,
     circular_thomas_angle,
@@ -415,6 +417,11 @@ class TestTransportOperator:
         line = standard_line()
         op = transport_operator_numeric(line, 1.2, 1.2, step=0.01)
         assert max_abs(op.matrix - np.eye(4)) == 0.0
+
+    def test_returns_a_plain_lorentz_map(self):
+        op = transport_operator_numeric(standard_line(), 0.0, 0.5, step=0.01)
+        assert type(op) is LorentzMap
+        assert "TransportOperator" not in relkin.__all__
 
     def test_nan_operator_raises_drift(self):
         line = NanAccelerationLine.from_plane(0.6, 1.0)
