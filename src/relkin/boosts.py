@@ -58,18 +58,20 @@ class SpatialRotation(LorentzMap):
     def __init__(self, matrix, u: AbsoluteVelocity, tol: float | None = None):
         super().__init__(matrix)
         tol = TOL.constraint if tol is None else tol
-        if not float(np.max(np.abs(self.matrix @ u.components - u.components))) <= tol:
-            raise ConstraintViolation("rotation does not fix its velocity")
-        self.u = u
-        self.frame = orthonormal_spatial_frame(u)
-        cols = [self.matrix @ fj.components for fj in self.frame]
-        self._restriction = r = np.array([[float(_mdot(fi.components, c)) for c in cols]
-                                          for fi in self.frame])
-        r.setflags(write=False)
-        if not float(np.max(np.abs(r.T @ r - np.eye(3)))) <= tol:
-            raise ConstraintViolation("restriction to the spatial subspace is not orthogonal")
-        if not abs(float(np.linalg.det(r)) - 1.0) <= tol:
-            raise ConstraintViolation("restriction must have determinant +1")
+        # an overflow becomes the inf or NaN that the checks reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not float(np.max(np.abs(self.matrix @ u.components - u.components))) <= tol:
+                raise ConstraintViolation("rotation does not fix its velocity")
+            self.u = u
+            self.frame = orthonormal_spatial_frame(u)
+            cols = [self.matrix @ fj.components for fj in self.frame]
+            self._restriction = r = np.array([[float(_mdot(fi.components, c)) for c in cols]
+                                              for fi in self.frame])
+            r.setflags(write=False)
+            if not float(np.max(np.abs(r.T @ r - np.eye(3)))) <= tol:
+                raise ConstraintViolation("restriction to the spatial subspace is not orthogonal")
+            if not abs(float(np.linalg.det(r)) - 1.0) <= tol:
+                raise ConstraintViolation("restriction must have determinant +1")
 
     def restriction(self) -> np.ndarray:
         """Read-only 3x3 matrix of the map on the space vectors of ``u``, in ``frame``."""

@@ -86,9 +86,10 @@ def _emit_report(pairs: list[tuple[str, str]], path) -> Path:
     return path
 
 
-def _require(cfg: dict, key: str, kind: str):
+def _require(cfg: dict, key: str, kind: str, noun: str = "scenario kind"):
+    # noun names the mapping: a scenario kind, or a world line type
     if key not in cfg:
-        raise ScenarioError(f"scenario kind '{kind}' needs field '{key}'")
+        raise ScenarioError(f"{noun} '{kind}' needs field '{key}'")
     return cfg[key]
 
 
@@ -134,9 +135,13 @@ def _positive_int(value, name: str) -> int:
 
 
 def _circular_from(cfg: dict) -> CircularWorldLine:
-    kind = cfg.get("kind", "circular")
-    omega = _number(_require(cfg, "omega", kind), "omega")
-    rho = _number(_require(cfg, "rho", kind), "rho")
+    # a circular-thomas scenario, or a world-line mapping of type 'circular'
+    if "kind" in cfg:
+        kind, noun = cfg["kind"], "scenario kind"
+    else:
+        kind, noun = "circular", "world line type"
+    omega = _number(_require(cfg, "omega", kind, noun), "omega")
+    rho = _number(_require(cfg, "rho", kind, noun), "rho")
     center = cfg.get("center_velocity")
     uc = AbsoluteVelocity.rest() if center is None else _velocity_from_3(center, "center_velocity")
     plane_cfg = cfg.get("plane")
@@ -163,7 +168,8 @@ def _worldline_from(cfg, name: str = "worldline") -> WorldLine:
     if unknown:
         raise ScenarioError(f"unknown world line fields: {sorted(unknown)}")
     if wtype == "inertial":
-        return InertialWorldLine(_velocity_from_3(_require(cfg, "velocity", wtype), "velocity"))
+        velocity = _require(cfg, "velocity", wtype, "world line type")
+        return InertialWorldLine(_velocity_from_3(velocity, "velocity"))
     return _circular_from(cfg)
 
 

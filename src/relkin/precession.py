@@ -87,7 +87,7 @@ def observe_gyroscope(
     s = proper_time_of_frame_time(u, line, t)
     z = z_of_s(s)
     rdot = line.velocity(s)
-    if abs(lorentz_dot(rdot, z)) > TOL.drift * max(1.0, float(np.max(np.abs(z.components)))):
+    if not abs(lorentz_dot(rdot, z)) <= TOL.drift * max(1.0, float(np.max(np.abs(z.components)))):
         raise ConstraintViolation("supplied trajectory is not gyroscopic at the requested time")
     return boost(u, rdot)(z)
 

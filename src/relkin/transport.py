@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +44,9 @@ class GyroState:
 
 #: Most RK4 steps one integration call may take; asking for more is an input error.
 MAX_STEPS = 10**8
+
+#: RK4 steps of the operator path whose kinematics and generators are built in one pass
+_BLOCK = 512
 
 
 def fermi_walker_derivative(line: WorldLine, s: float, z: FourVector) -> FourVector:
@@ -74,13 +78,13 @@ def _fw(v, a, z0: float, z1: float, z2: float, z3: float) -> tuple[float, float,
     return v0 * p - a0 * q, v1 * p - a1 * q, v2 * p - a2 * q, v3 * p - a3 * q
 
 
-def _generators(*kins) -> np.ndarray:
-    """outer(rdot, G rddot) - outer(rddot, G rdot) for each kinematics pair.
+def _generators(k: np.ndarray) -> np.ndarray:
+    """outer(rdot, G rddot) - outer(rddot, G rdot) for each row of a kinematics block.
 
-    One stack of numpy calls serves every pair; each entry is the same
-    product and difference that ``np.outer`` of the single pair computes.
+    ``k`` is [n, (rdot, rddot), component], as ``WorldLine._kinematics_block``
+    returns it.  One stack of numpy calls serves every row; each entry is the
+    same product and difference that ``np.outer`` of the single pair computes.
     """
-    k = np.array(kins)  # [pair, (rdot, rddot), component]
     g = k @ METRIC  # G rdot, G rddot (G is symmetric)
     w = k[:, :, :, None] * g[:, ::-1, None, :]
     return w[:, 0] - w[:, 1]
@@ -143,19 +147,33 @@ def _rk4_vector(line: WorldLine, z: tuple, s1: float, s2: float, step: float,
 def _rk4_operator(line: WorldLine, m: np.ndarray, s1: float, s2: float, step: float) -> np.ndarray:
     """Classical fixed-step RK4 for a transport operator, dm/ds = w(s) m.
 
-    The generator w = outer(rdot, G rddot) - outer(rddot, G rdot) is
-    built once per kinematics evaluation.
+    The schedule is read ``_BLOCK`` steps at a time: one kinematics block
+    and one generator pass cover the mid and end points of those steps.
+    The stages are the numpy expressions m + (0.5 h) k1, ... and
+    m + (h/6) (k1 + 2 (k2 + k3) + k4), evaluated into preallocated buffers;
+    they stay on numpy's 4x4 ``@``, whose bits the ``circular-thomas``
+    golden records.
     """
-    kin = line._kinematics_arrays
-    (w_lo,) = _generators(kin(s1))
-    for s, h in _steps(s1, s2, step):
-        w_mid, w_hi = _generators(kin(s + 0.5 * h), kin(s + h))
-        k1 = w_lo @ m
-        k2 = w_mid @ (m + (0.5 * h) * k1)
-        k3 = w_mid @ (m + (0.5 * h) * k2)
-        k4 = w_hi @ (m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        w_lo = w_hi
+    m = np.array(m, dtype=float)  # updated in place
+    k1, k2, k3, k4, y, acc = np.empty((6, 4, 4))
+    matmul, add, multiply = np.matmul, np.add, np.multiply
+    (w_lo,) = _generators(line._kinematics_block([s1]))
+    schedule = _steps(s1, s2, step)
+    two, h_last = np.array(2.0), None
+    while block := list(islice(schedule, _BLOCK)):
+        w = _generators(line._kinematics_block(
+            [p for s, h in block for p in (s + 0.5 * h, s + h)]))
+        for (_, h), w_mid, w_hi in zip(block, w[0::2], w[1::2]):
+            if h != h_last:  # the step's scalars as 0-d arrays: same doubles, cheaper calls
+                h_last, hh, hs, h6 = h, np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+            matmul(w_lo, m, k1)
+            matmul(w_mid, add(m, multiply(hh, k1, y), y), k2)
+            matmul(w_mid, add(m, multiply(hh, k2, y), y), k3)
+            matmul(w_hi, add(m, multiply(hs, k3, y), y), k4)
+            multiply(two, add(k2, k3, acc), acc)
+            add(add(k1, acc, acc), k4, acc)
+            add(m, multiply(h6, acc, acc), m)
+            w_lo = w_hi
     return m
 
 
@@ -339,7 +357,7 @@ def thomas_rotation_general(
     v1 = line.velocity(s1)
     v2 = line.velocity(s2)
     mismatch = float(np.max(np.abs(v1.components - v2.components)))
-    if mismatch > TOL.velocity_match:
+    if not mismatch <= TOL.velocity_match:
         raise VelocityMismatch(
             f"velocities at s1 and s2 differ by {mismatch}; "
             "a closed-loop rotation needs equal endpoint velocities"

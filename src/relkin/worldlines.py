@@ -56,6 +56,11 @@ class WorldLine(abc.ABC):
             tuple(self.acceleration(s).components.tolist()),
         )
 
+    def _kinematics_block(self, ss) -> np.ndarray:
+        # [n, (velocity, acceleration), component] at the proper times ss; each
+        # row equals _kinematics_arrays at its point, bit for bit
+        return np.array([self._kinematics_arrays(s) for s in ss], dtype=float).reshape(-1, 2, 4)
+
     def _frame_clock(self, u: AbsoluteVelocity):
         """(forward, slope) in floats: the time frame ``u`` assigns to the point at
         proper time s (zero at s = 0) and its rate -u.velocity(s).  Generic:
@@ -131,25 +136,29 @@ class CircularWorldLine(WorldLine):
 
         if not angular_velocity.is_antisymmetric(tol):
             raise ConstraintViolation("angular velocity must be antisymmetric")
-        if float(np.max(np.abs(om @ uc))) > tol:
-            raise ConstraintViolation("angular velocity must kill the center velocity")
-        rate = antisymmetric_magnitude(angular_velocity, tol)
-        if rate <= tol:
-            raise ConstraintViolation("angular velocity must be nonzero")
-        if abs(_mdot(uc, q)) > tol:
-            raise ConstraintViolation("radius vector must be a space vector of the center frame")
-        radius = radius_vector.norm()
-        if radius <= tol:
-            raise ConstraintViolation("radius vector must be nonzero")
-        # q in the rotation plane is equivalent to Om^2 q = -rate^2 q
-        plane_residual = om @ (om @ q) + rate * rate * q
-        if float(np.max(np.abs(plane_residual))) > tol * max(1.0, rate * rate * radius):
-            raise ConstraintViolation(
-                "radius vector must lie in the rotation plane (orthogonal to the kernel)"
-            )
-        speed = rate * radius
-        if speed >= 1.0 - 1e-9:
-            raise ConstraintViolation(f"orbital speed must stay below 1, got {speed}")
+        # each check reads `not (x <= bound)`, so a NaN fails it; an overflow is
+        # left to become the inf or NaN that the check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not float(np.max(np.abs(om @ uc))) <= tol:
+                raise ConstraintViolation("angular velocity must kill the center velocity")
+            rate = antisymmetric_magnitude(angular_velocity, tol)
+            if not rate > tol:
+                raise ConstraintViolation("angular velocity must be nonzero")
+            if not abs(_mdot(uc, q)) <= tol:
+                raise ConstraintViolation(
+                    "radius vector must be a space vector of the center frame")
+            radius = radius_vector.norm()
+            if not radius > tol:
+                raise ConstraintViolation("radius vector must be nonzero")
+            # q in the rotation plane is equivalent to Om^2 q = -rate^2 q
+            plane_residual = om @ (om @ q) + rate * rate * q
+            if not float(np.max(np.abs(plane_residual))) <= tol * max(1.0, rate * rate * radius):
+                raise ConstraintViolation(
+                    "radius vector must lie in the rotation plane (orthogonal to the kernel)"
+                )
+            speed = rate * radius
+            if not speed < 1.0 - 1e-9:
+                raise ConstraintViolation(f"orbital speed must stay below 1, got {speed}")
 
         self.center_velocity = center_velocity
         self.angular_velocity = angular_velocity
@@ -237,6 +246,20 @@ class CircularWorldLine(WorldLine):
              k2 + c * x2 + si * y2, k3 + c * x3 + si * y3),
             (c * p0 + si * r0, c * p1 + si * r1, c * p2 + si * r2, c * p3 + si * r3),
         )
+
+    def _kinematics_block(self, ss) -> np.ndarray:
+        # the sums of _kinematics_arrays on arrays, in its order; cos and sin stay libm's
+        if type(self)._kinematics_arrays is not CircularWorldLine._kinematics_arrays:
+            return super()._kinematics_block(ss)  # a subclass's own scalar kinematics
+        phases = [self._spin * s for s in ss]
+        c = np.array([math.cos(ph) for ph in phases])[:, None]
+        si = np.array([math.sin(ph) for ph in phases])[:, None]
+        k, x, y = np.array(self._vel_terms).T
+        p, r = np.array(self._acc_terms).T
+        out = np.empty((len(phases), 2, 4))
+        out[:, 0] = k + c * x + si * y
+        out[:, 1] = c * p + si * r
+        return out
 
     def _frame_clock(self, u: AbsoluteVelocity):
         # t(s) = -u.(x(s) - x(0)) = A s + B (cos(phase) - 1) + C sin(phase), with A = lam (-u.u_c),

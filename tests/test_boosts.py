@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,24 @@ class TestRotationAngleAxis:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConstraintViolation, match="does not fix its velocity"):
                 SpatialRotation(m, u)
+
+    def test_overflow_is_the_typed_error_not_a_warning(self):
+        m = np.zeros((4, 4))
+        m[:, 0], m[:, 1] = 1.7e308, -1.7e308
+        u = AbsoluteVelocity.from_3velocity([0.98, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match="does not fix its velocity"):
+                SpatialRotation(m, u)
+
+    def test_overflowing_restriction_is_the_typed_error_not_a_warning(self):
+        # fixes the rest velocity exactly, but r.T @ r overflows
+        m = np.eye(4)
+        m[1, 2] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match="is not orthogonal"):
+                SpatialRotation(m, U_REST)
 
 
 class TestRotationKeepsItsFrame:

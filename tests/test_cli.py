@@ -291,6 +291,22 @@ class TestSchemaValidation:
             "['circular', 'inertial']\""
         ]
 
+    @pytest.mark.parametrize("text,owner,field", [
+        (CIRCULAR_PRECESS.replace(", rho: 1.0", ""), "world line type 'circular'", "rho"),
+        (CIRCULAR_PRECESS.replace("omega: 0.6, ", ""), "world line type 'circular'", "omega"),
+        (INERTIAL_TRANSPORT.replace(", velocity: [0.1, 0.0, 0.0]", ""),
+         "world line type 'inertial'", "velocity"),
+        ("kind: circular-thomas\nomega: 0.6\n", "scenario kind 'circular-thomas'", "rho"),
+        ("kind: circular-thomas\nrho: 1.0\n", "scenario kind 'circular-thomas'", "omega"),
+    ])
+    def test_missing_field_names_its_owner(self, text, owner, field, tmp_path, capsys):
+        bad = tmp_path / "missing.yaml"
+        bad.write_text(text)
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error code=2 kind=parse message=\"{owner} needs field '{field}'\""
+        ]
+
     def test_unknown_field_rejected(self, tmp_path):
         bad = tmp_path / "extra.yaml"
         bad.write_text(

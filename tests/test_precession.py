@@ -81,6 +81,15 @@ class TestObserveGyroscope:
         with pytest.raises(ConstraintViolation):
             observe_gyroscope(line.center_velocity, line, lambda s: E2, 0.0)
 
+    def test_nan_velocity_dot_z_is_not_gyroscopic(self):
+        # velocity.z is -inf + inf; before, the NaN passed and the boost overflowed
+        line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.9, 0.0, 0.0]))
+        huge = FourVector([1e308, 1e308, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match="not gyroscopic at the requested time"):
+                observe_gyroscope(AbsoluteVelocity.rest(), line, lambda s: huge, 1.0)
+
 
 class TestPrecessionRate:
     def test_zero_velocity(self):

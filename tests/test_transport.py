@@ -1,11 +1,13 @@
 import math
 import time
+import types
 
 import numpy as np
 import pytest
 
 import relkin
 from relkin import (
+    E1,
     E2,
     E3,
     AbsoluteVelocity,
@@ -16,6 +18,7 @@ from relkin import (
     InertialWorldLine,
     LorentzMap,
     VelocityMismatch,
+    WorldLine,
     boost,
     circular_thomas_angle,
     circular_transport_generator,
@@ -34,7 +37,7 @@ from relkin import (
     wedge,
 )
 
-from relkin.transport import MAX_STEPS, _generators
+from relkin.transport import _BLOCK, MAX_STEPS, _generators, _rk4_operator, _steps
 
 from helpers import max_abs, random_spacelike_unit, random_velocity
 
@@ -400,6 +403,125 @@ class TestStepBudget:
             transport_operator_numeric(line, 0.0, span, step=1.0)
 
 
+def _per_step_generators(*kins):
+    # the generators of one step, built from its kinematics tuples
+    k = np.array(kins)
+    g = k @ np.diag([-1.0, 1.0, 1.0, 1.0])
+    w = k[:, :, :, None] * g[:, ::-1, None, :]
+    return w[:, 0] - w[:, 1]
+
+
+def per_step_rk4_operator(line, m, s1, s2, step):
+    """The operator RK4 one step at a time: the oracle of the block loop's bits."""
+    kin = line._kinematics_arrays
+    (w_lo,) = _per_step_generators(kin(s1))
+    for s, h in _steps(s1, s2, step):
+        w_mid, w_hi = _per_step_generators(kin(s + 0.5 * h), kin(s + h))
+        k1 = w_lo @ m
+        k2 = w_mid @ (m + (0.5 * h) * k1)
+        k3 = w_mid @ (m + (0.5 * h) * k2)
+        k4 = w_hi @ (m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        w_lo = w_hi
+    return m
+
+
+class DelegatingLine(WorldLine):
+    """A minimal user-defined line: kinematics only through the public methods."""
+
+    def __init__(self, line):
+        self.line = line
+        self.default_step = line.default_step
+
+    def position(self, s):
+        return self.line.position(s)
+
+    def velocity(self, s):
+        return self.line.velocity(s)
+
+    def acceleration(self, s):
+        return self.line.acceleration(s)
+
+
+def _boosted_plane_line():
+    uc = AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.4])
+    carry = boost(uc, AbsoluteVelocity.rest())
+    return CircularWorldLine.from_plane(0.8 / 1.3, 1.3, plane=(carry(E3), carry(E1)),
+                                        center_velocity=uc)
+
+
+BLOCK_LINES = {
+    "circular": lambda: standard_line(0.9, 1.0),
+    "boosted-plane": _boosted_plane_line,
+    "inertial": lambda: InertialWorldLine(AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.5])),
+    "user-defined": lambda: DelegatingLine(standard_line(0.6, 1.0)),
+}
+
+
+class TestBlockOperator:
+    """The block loop returns the per-step loop's bytes; its kinematics blocks stay bounded."""
+
+    STEP = 2.0 ** -10  # s1 +- n STEP is exact, so the schedule has exactly n full steps
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_LINES))
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_matches_the_per_step_loop(self, kind, direction):
+        line = BLOCK_LINES[kind]()
+        s1 = 0.75
+        for n_full in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK):
+            for partial in (0.0, 0.375):
+                s2 = s1 + direction * (n_full + partial) * self.STEP
+                assert len(list(_steps(s1, s2, self.STEP))) == n_full + (partial > 0.0)
+                expected = per_step_rk4_operator(line, np.eye(4), s1, s2, self.STEP).tobytes()
+                assert _rk4_operator(line, np.eye(4), s1, s2, self.STEP).tobytes() == expected
+                got = transport_operator_numeric(line, s1, s2, step=self.STEP)
+                assert got.matrix.tobytes() == expected
+
+    @pytest.mark.parametrize("kind", ["circular", "boosted-plane"])
+    def test_thomas_rotation_is_the_per_step_operator(self, kind):
+        line = BLOCK_LINES[kind]()
+        period = line.proper_period
+        expected = per_step_rk4_operator(line, np.eye(4), 0.0, period, line.default_step)
+        got = thomas_rotation_general(line, 0.0, period)
+        assert got.matrix.tobytes() == expected.tobytes()
+
+    def test_caller_matrix_is_left_alone(self):
+        m = np.eye(4)
+        out = _rk4_operator(standard_line(), m, 0.0, 0.5, 0.01)
+        assert out is not m
+        assert np.array_equal(m, np.eye(4))
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_LINES) + ["nan-acceleration"])
+    def test_kinematics_block_stacks_the_scalar_kinematics(self, kind):
+        line = (NanAccelerationLine.from_plane(0.6, 1.0) if kind == "nan-acceleration"
+                else BLOCK_LINES[kind]())
+        rng = np.random.default_rng(3200)
+        quarter = math.pi / (2.0 * line._spin) if hasattr(line, "_spin") else 1.0
+        # zero phases of both signs, quarter turns (exact zeros in cos or sin
+        # products) and random points, so signed zeros are compared too
+        ss = [0.0, -0.0, quarter, -quarter, 2.0 * quarter, 1e-300, -7.5, 1e6,
+              *rng.uniform(-50.0, 50.0, size=40)]
+        expected = np.array([line._kinematics_arrays(s) for s in ss], dtype=float)
+        got = line._kinematics_block(ss)
+        assert got.shape == (len(ss), 2, 4)
+        assert got.tobytes() == expected.tobytes()
+        assert line._kinematics_block([]).shape == (0, 2, 4)
+
+    def test_no_block_asks_for_more_than_two_points_per_step(self, monkeypatch):
+        sizes = []
+        block = CircularWorldLine._kinematics_block
+
+        def spy(self, ss):
+            sizes.append(len(ss))
+            return block(self, ss)
+
+        monkeypatch.setattr(CircularWorldLine, "_kinematics_block", spy)
+        n_steps = 3 * _BLOCK + 5
+        transport_operator_numeric(standard_line(), 0.0, n_steps * self.STEP, step=self.STEP)
+        assert max(sizes) <= 2 * _BLOCK
+        assert sizes == [1, 2 * _BLOCK, 2 * _BLOCK, 2 * _BLOCK, 10]
+
+
 class TestTransportOperator:
     def test_batched_generators_match_np_outer(self):
         # every sign pattern of zero components: the batched metric product
@@ -407,11 +529,12 @@ class TestTransportOperator:
         metric = np.diag([-1.0, 1.0, 1.0, 1.0])
         values = (0.0, -0.0, 1.5, -2.5)
         patterns = [tuple(values[(i >> (2 * j)) & 3] for j in range(4)) for i in range(256)]
-        for rdot, rddot in zip(patterns, patterns[::-1]):
-            expected = [np.outer(r, metric @ np.array(a)) - np.outer(a, metric @ np.array(r))
-                        for r, a in ((rdot, rddot), (rddot, rdot))]
-            got = _generators((rdot, rddot), (rddot, rdot))
-            assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
+        pairs = [pair for rdot, rddot in zip(patterns, patterns[::-1])
+                 for pair in ((rdot, rddot), (rddot, rdot))]
+        expected = [np.outer(r, metric @ np.array(a)) - np.outer(a, metric @ np.array(r))
+                    for r, a in pairs]
+        got = _generators(np.array(pairs))  # one block of 512 kinematics rows
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
 
     def test_degenerate_interval_is_identity(self):
         line = standard_line()
@@ -600,6 +723,19 @@ class TestThomasRotationGeneral:
         line = standard_line()
         with pytest.raises(VelocityMismatch):
             thomas_rotation_general(line, 0.0, 0.5 * line.proper_period)
+
+    def test_nan_mismatch_is_a_velocity_mismatch(self):
+        # a user line whose velocity is NaN at s2: before, the NaN mismatch
+        # passed and the failure surfaced later as a transport DriftViolation
+        class NanEndLine(CircularWorldLine):
+            def velocity(self, s):
+                if s > 0.0:
+                    return types.SimpleNamespace(components=np.full(4, np.nan))
+                return CircularWorldLine.velocity(self, s)
+
+        line = NanEndLine.from_plane(0.6, 1.0)
+        with pytest.raises(VelocityMismatch, match="differ by nan"):
+            thomas_rotation_general(line, 0.0, line.proper_period, step=0.01)
 
 
 class TestBoostConsistencyLimit:

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from relkin import worldlines
 from relkin import (
     E1,
     E2,
@@ -76,6 +78,58 @@ class TestConstruction:
         with pytest.raises(ConstraintViolation):
             CircularWorldLine(AbsoluteVelocity.rest(), 0.6 * wedge(E2, E1),
                               FourVector([0.5, 1.0, 0.0, 0.0]))
+
+
+class _NanProduct(float):
+    """A radius whose products with a float are NaN (reflected before float's own)."""
+
+    def __rmul__(self, other):
+        return math.nan
+
+
+class TestNanFailsEveryConstructionCheck:
+    """Each check of CircularWorldLine rejects a NaN where it arises, with no warning."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_generator_image_of_the_center_velocity(self):
+        # om @ uc is inf - inf in row 1
+        om = np.zeros((4, 4))
+        om[1, 2], om[2, 1], om[1, 3], om[3, 1] = 1e308, -1e308, 1e308, -1e308
+        uc = AbsoluteVelocity.from_3velocity([0.0, 0.7, -0.7])
+        with pytest.raises(ConstraintViolation, match="must kill the center velocity"):
+            CircularWorldLine(uc, LorentzMap(om), E1)
+
+    def test_rate(self, monkeypatch):
+        monkeypatch.setattr(worldlines, "antisymmetric_magnitude", lambda gen, tol: math.nan)
+        with pytest.raises(ConstraintViolation, match="angular velocity must be nonzero"):
+            CircularWorldLine(AbsoluteVelocity.rest(), 0.6 * wedge(E2, E1), E1)
+
+    def test_radius_against_the_center_velocity(self):
+        # uc.q is -inf + inf
+        with pytest.raises(ConstraintViolation, match="space vector of the center frame"):
+            CircularWorldLine(AbsoluteVelocity.from_3velocity([0.9, 0.0, 0.0]), wedge(E2, E3),
+                              FourVector([1e308, 1e308, 0.0, 0.0]))
+
+    def test_radius(self, monkeypatch):
+        monkeypatch.setattr(FourVector, "norm", lambda self: math.nan)
+        with pytest.raises(ConstraintViolation, match="radius vector must be nonzero"):
+            CircularWorldLine(AbsoluteVelocity.rest(), 0.6 * wedge(E2, E1), E1)
+
+    def test_plane_residual(self):
+        # om @ (om @ q) is -inf and rate^2 q is +inf
+        with pytest.raises(ConstraintViolation, match="must lie in the rotation plane"):
+            CircularWorldLine(AbsoluteVelocity.rest(), 1e100 * wedge(E2, E1),
+                              FourVector([0.0, 1e150, 0.0, 0.0]))
+
+    def test_speed(self, monkeypatch):
+        monkeypatch.setattr(FourVector, "norm", lambda self: _NanProduct(1.0))
+        with pytest.raises(ConstraintViolation, match="orbital speed must stay below 1, got nan"):
+            CircularWorldLine(AbsoluteVelocity.rest(), 0.6 * wedge(E2, E1), E1)
 
 
 class TestKinematics:
