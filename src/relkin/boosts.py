@@ -17,15 +17,19 @@ import numpy as np
 from .config import TOL
 from .errors import ConstraintViolation
 from .minkowski import (
+    METRIC,
     AbsoluteVelocity,
     FourVector,
     LorentzMap,
     _form_error,
     _lowered,
+    _lowered_rows,
     _mdot,
     lorentz_dot,
     orthonormal_spatial_frame,
 )
+
+_EYE = np.eye(4)
 
 
 class Boost(LorentzMap):
@@ -110,6 +114,31 @@ def _boost_matrix(t, f, tol: float) -> np.ndarray:
     return m
 
 
+def _boost_rows(t, f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_boost_matrix of the velocity t with each row of f, all in one pass.
+
+    Returns the [n, 4, 4] matrices and a mask of the rows that pass every
+    check of _boost_matrix.  The entries take its operations in its order;
+    the residuals are _require_boost's products as stacked ``np.matmul``,
+    whose slices are the same BLAS calls.  So an accepted row is the scalar
+    kernel's matrix bit for bit, and the mask is its verdict.
+    """
+    d = _mdot(t, f.T)
+    s = t + f
+    gs, gf = _lowered_rows(s), _lowered_rows(f)
+    k = (1.0 - d)[:, None, None]
+    m = (_EYE + s[:, :, None] * gs[:, None, :] / k) - 2.0 * (t[:, None] * gf[:, None, :])
+    form, carry = _boost_residuals(m, t, f)
+    return m, (d < 0.0) & np.isfinite(m).all(axis=(1, 2)) & (form <= tol) & (carry <= tol)
+
+
+def _boost_residuals(m: np.ndarray, t, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _form_error of each matrix of m, and max |m @ f - t| of each row as _require_boost forms it
+    form = np.abs(m.transpose(0, 2, 1) @ METRIC @ m - METRIC).max(axis=(1, 2))
+    carry = np.abs((m @ f[:, :, None])[:, :, 0] - t).max(axis=1)
+    return form, carry
+
+
 def gamma_factor(u: AbsoluteVelocity, rdot: AbsoluteVelocity) -> float:
     """Relativistic factor -u.rdot = 1/sqrt(1 - |relative velocity|^2)."""
     return -lorentz_dot(u, rdot)
@@ -127,6 +156,12 @@ def _relative_velocity(u, r) -> list[float]:
     # rdot / g - u with g = -u.rdot, on 4-float velocities
     g = -_mdot(u, r)
     return [ri / g - ui for ri, ui in zip(r, u)]
+
+
+def _relative_velocity_rows(u, r: np.ndarray) -> np.ndarray:
+    # _relative_velocity of u with each row of r
+    g = -_mdot(u, r.T)
+    return r / g[:, None] - u
 
 
 def relative_acceleration(
@@ -157,6 +192,18 @@ def _relative_acceleration(u, r, a, tol: float) -> list[float]:
     k = _mdot(u, a) / g
     gg = g * g
     return [(ai + ri * k) / gg for ai, ri in zip(a, r)]
+
+
+def _relative_acceleration_rows(u, r: np.ndarray, a: np.ndarray,
+                                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # _relative_acceleration of u with each row pair of r and a, and a mask of the
+    # rows whose orthogonality check passes (a NaN fails it, as in the scalar kernel)
+    ortho = _mdot(r.T, a.T)
+    ok = np.abs(ortho) <= tol * np.maximum(1.0, np.abs(a).max(axis=1))
+    g = -_mdot(u, r.T)
+    k = _mdot(u, a.T) / g
+    gg = g * g
+    return (a + r * k[:, None]) / gg[:, None], ok
 
 
 def thomas_rotation_discrete(

@@ -217,6 +217,21 @@ def _wedge(a, b, k: float = 1.0) -> np.ndarray:
                      for ai, bi in zip(a, b)])
 
 
+#: diagonal of METRIC; x * _SIGNS + 0.0 is _lowered(x), bit for bit
+_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
+
+
+def _lowered_rows(x: np.ndarray) -> np.ndarray:
+    # _lowered of each row of an [n, 4] array
+    return x * _SIGNS + 0.0
+
+
+def _wedge_rows(a: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # _wedge of each row pair of [n, 4] arrays with the factors k, as an [n, 4, 4] array
+    ga, gb = _lowered_rows(a), _lowered_rows(b)
+    return (a[:, :, None] * gb[:, None, :] - b[:, :, None] * ga[:, None, :]) * k[:, None, None]
+
+
 def exp_map(generator: LorentzMap, t: float = 1.0) -> LorentzMap:
     """Exponential e^(t A) of an antisymmetric map, a Lorentz transformation.
 

@@ -12,10 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .boosts import _boost_matrix, _relative_acceleration, _relative_velocity, boost
+from .boosts import (
+    _boost_matrix,
+    _boost_rows,
+    _relative_acceleration,
+    _relative_acceleration_rows,
+    _relative_velocity,
+    _relative_velocity_rows,
+    boost,
+)
 from .config import TOL
 from .errors import ConstraintViolation
 from .minkowski import (
@@ -24,6 +33,7 @@ from .minkowski import (
     LorentzMap,
     _mdot,
     _wedge,
+    _wedge_rows,
     lorentz_dot,
     orthonormal_spatial_frame,
     wedge,
@@ -72,6 +82,16 @@ def _rate_matrix(v, a, tol: float) -> np.ndarray:
     return _wedge(v, a, gamma * gamma / (1.0 + gamma))
 
 
+def _rate_rows(v: np.ndarray, a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # _rate_matrix of each row pair of v and a, and a mask of the rows it accepts
+    # with finite entries; the sign of a clamped zero cannot change 1.0 - v_sq
+    v_sq = _mdot(v.T, v.T)
+    clamped = np.maximum(v_sq, 0.0)
+    gamma = 1.0 / np.sqrt(1.0 - clamped)
+    rate = _wedge_rows(v, a, gamma * gamma / (1.0 + gamma))
+    return rate, (v_sq >= -tol) & (clamped < 1.0) & np.isfinite(rate).all(axis=(1, 2))
+
+
 def observe_gyroscope(
     u: AbsoluteVelocity,
     line: WorldLine,
@@ -108,8 +128,10 @@ def precession_series(
     rate built from the relative velocity and acceleration at that
     instant.  Interior samples also carry the centered difference of the
     observed vector, so the precession law can be checked against the
-    series itself.  The series runs the float kernels of the public calls,
-    so each sample equals their composition bit for bit.
+    series itself.  One numpy pass observes every sample, taking each entry
+    through the operations of the public calls' float kernels in their
+    order, so each sample equals their composition bit for bit; where a
+    check fails, those kernels rerun on that sample and raise.
     """
     ts = [float(t) for t in t_grid]
     if len(ts) < 2:
@@ -119,22 +141,67 @@ def precession_series(
     clock = line._frame_clock(u)
     ss = [_invert_increasing(clock, t) for t in ts]
     states = transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
-    w, tol = u.components.tolist(), TOL.constraint
-    samples, zs = [], []
-    for t, state in zip(ts, states):
-        rdot, rddot = line._kinematics_arrays(state.s)
-        observed = FourVector(_boost_matrix(w, rdot, tol) @ state.z.components)
-        v = _relative_velocity(w, rdot)
-        a = _relative_acceleration(w, rdot, rddot, tol)
-        samples.append(PrecessionSample(t, observed, LorentzMap(_rate_matrix(v, a, tol))))
-        zs.append(observed.components.tolist())
-    for k in range(1, len(samples) - 1):
-        dt = ts[k + 1] - ts[k - 1]
-        inv_dt = 1.0 / dt
-        if not math.isfinite(inv_dt):
-            raise ConstraintViolation(f"frame-time grid spacing {dt} is too small to difference")
-        samples[k].z_dot = FourVector([(p - q) * inv_dt for p, q in zip(zs[k + 1], zs[k - 1])])
+    kin = line._kinematics_block([state.s for state in states])
+    rdot, rddot, w, tol = kin[:, 0], kin[:, 1], u.components, TOL.constraint
+    # an overflow becomes the inf or NaN that a check rejects
+    with np.errstate(all="ignore"):
+        m, ok = _boost_rows(w, rdot, tol)
+        z = (m @ np.array([state.z.components for state in states])[:, :, None])[:, :, 0]
+        a, ok_a = _relative_acceleration_rows(w, rdot, rddot, tol)
+        rate, ok_rate = _rate_rows(_relative_velocity_rows(w, rdot), a, tol)
+        ok &= np.isfinite(z).all(axis=1) & ok_a & ok_rate
+        inv_dt = 1.0 / np.subtract(ts[2:], ts[:-2])
+        z_dot = (z[2:] - z[:-2]) * inv_dt[:, None]
+        ok_dot = np.isfinite(inv_dt) & np.isfinite(z_dot).all(axis=1)
+    if not (ok.all() and ok_dot.all()):
+        _raise_first_failure(w.tolist(), line, states, ts, z, ok, ok_dot, tol)
+    for block in (z, rate, z_dot):
+        block.setflags(write=False)
+    samples = [PrecessionSample(t, _vector(zk), _map(rk)) for t, zk, rk in zip(ts, z, rate)]
+    for sample, zd in zip(samples[1:-1], z_dot):
+        sample.z_dot = _vector(zd)
     return samples
+
+
+def _vector(components: np.ndarray) -> FourVector:
+    # a FourVector of checked, read-only components, without the constructor's checks
+    out = FourVector.__new__(FourVector)
+    out.components = components
+    return out
+
+
+def _map(matrix: np.ndarray) -> LorentzMap:
+    # a LorentzMap of a checked, read-only matrix, without the constructor's checks
+    out = LorentzMap.__new__(LorentzMap)
+    out.matrix = matrix
+    return out
+
+
+def _raise_first_failure(w, line, states, ts, z, ok, ok_dot, tol) -> NoReturn:
+    """Replay the per-sample kernels where a block check failed.
+
+    The first sample that fails any check is rerun through the scalar
+    kernels in their order (boost, observed vector, relative velocity and
+    acceleration, rate); if every sample passed, the first difference that
+    failed is recomputed as the scalar loop forms it.  Either raises the
+    scalar path's exception with its message; an overflow on the way is
+    left to become the inf or NaN that the check rejects, without a warning.
+    """
+    with np.errstate(all="ignore"):
+        if not ok.all():
+            state = states[int(np.argmin(ok))]
+            rdot, rddot = line._kinematics_arrays(state.s)
+            FourVector(_boost_matrix(w, rdot, tol) @ state.z.components)
+            v = _relative_velocity(w, rdot)
+            LorentzMap(_rate_matrix(v, _relative_acceleration(w, rdot, rddot, tol), tol))
+        else:
+            k = int(np.argmin(ok_dot)) + 1
+            dt = ts[k + 1] - ts[k - 1]
+            inv_dt = 1.0 / dt
+            if not math.isfinite(inv_dt):
+                raise ConstraintViolation(f"frame-time grid spacing {dt} is too small to difference")
+            FourVector([(p - q) * inv_dt for p, q in zip(z[k + 1].tolist(), z[k - 1].tolist())])
+    raise AssertionError("a block check failed where the scalar kernels pass")
 
 
 def central_frame_precession(line: CircularWorldLine) -> LorentzMap:

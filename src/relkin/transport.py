@@ -31,7 +31,7 @@ from .minkowski import (
     _mdot,
     wedge,
 )
-from .worldlines import CircularWorldLine, WorldLine
+from .worldlines import CircularWorldLine, WorldLine, _finite_time
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ _BLOCK = 512
 
 def fermi_walker_derivative(line: WorldLine, s: float, z: FourVector) -> FourVector:
     """Right-hand side of the transport equation at proper time ``s``."""
-    v, a = line._kinematics_arrays(float(s))
+    v, a = line._kinematics_arrays(_finite_time(s))
     return FourVector(_fw(v, a, *z.components.tolist()))
 
 
@@ -217,10 +217,10 @@ def transport_path(
     through the earlier ones.  The step is resolved once for the call, and
     both passes together may take at most ``MAX_STEPS`` steps.
     """
-    ss = [float(s) for s in s_points]
+    ss = [_finite_time(s) for s in s_points]
+    s_start = _finite_time(s_start)
     if any(b < a for a, b in zip(ss, ss[1:])):
         raise ConstraintViolation("proper-time points must be ascending")
-    s_start = float(s_start)
     tol_drift = TOL.drift if tol_drift is None else tol_drift
     _require_gyroscopic(line._kinematics_arrays(s_start)[0], z0, f"at s = {s_start}")
     span = max(ss[-1], s_start) - min(ss[0], s_start) if ss else 0.0
@@ -294,7 +294,7 @@ def transport_circular_exact(
     take proper time instead.
     """
     _require_gyroscopic(line.initial_velocity.components, z0, "at s = 0")
-    t = float(t)
+    t = _finite_time(t, "center time")
     gen = circular_transport_generator(line)
     spin_rate = line.lorentz_factor * line.angular_rate
     orbital = _elliptic_exp(line.angular_velocity.matrix, line.angular_rate, t)

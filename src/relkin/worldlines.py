@@ -30,6 +30,14 @@ from .minkowski import (
 )
 
 
+def _finite_time(s, name: str = "proper time") -> float:
+    # the time as a float; an infinity or NaN is a ConstraintViolation that names it
+    s = float(s)
+    if not math.isfinite(s):
+        raise ConstraintViolation(f"{name} must be finite, got {s}")
+    return s
+
+
 class WorldLine(abc.ABC):
     """History of a material point as exact functions of proper time."""
 
@@ -84,12 +92,14 @@ class InertialWorldLine(WorldLine):
         self._kinematics = (tuple(velocity.components.tolist()), (0.0, 0.0, 0.0, 0.0))
 
     def position(self, s: float) -> FourVector:
-        return FourVector(self._origin.components + float(s) * self._velocity.components)
+        return FourVector(self._origin.components + _finite_time(s) * self._velocity.components)
 
     def velocity(self, s: float) -> AbsoluteVelocity:
+        _finite_time(s)
         return self._velocity
 
     def acceleration(self, s: float) -> FourVector:
+        _finite_time(s)
         return ZERO
 
     def _kinematics_arrays(self, s: float):
@@ -222,7 +232,7 @@ class CircularWorldLine(WorldLine):
         return self._spin * s
 
     def position(self, s: float) -> FourVector:
-        s = float(s)
+        s = _finite_time(s)
         ph = self._phase(s)
         turn = self._q * math.cos(ph) + self._omq_over_rate * math.sin(ph)
         return FourVector(
@@ -230,10 +240,10 @@ class CircularWorldLine(WorldLine):
         )
 
     def velocity(self, s: float) -> AbsoluteVelocity:
-        return AbsoluteVelocity(self._kinematics_arrays(float(s))[0])
+        return AbsoluteVelocity(self._kinematics_arrays(_finite_time(s))[0])
 
     def acceleration(self, s: float) -> FourVector:
-        return FourVector(self._kinematics_arrays(float(s))[1])
+        return FourVector(self._kinematics_arrays(_finite_time(s))[1])
 
     def _kinematics_arrays(self, s: float):
         # v = k + cos(phase) x + sin(phase) y and a = cos(phase) p + sin(phase) r per component
@@ -282,10 +292,10 @@ class CircularWorldLine(WorldLine):
 
     def center_time_of_proper_time(self, s: float) -> float:
         """Center-frame time elapsed at proper time ``s`` (linear dilation)."""
-        return self.lorentz_factor * float(s)
+        return self.lorentz_factor * _finite_time(s)
 
     def proper_time_of_center_time(self, t: float) -> float:
-        return float(t) / self.lorentz_factor
+        return _finite_time(t, "center time") / self.lorentz_factor
 
     def initial_time_of_proper_time(self, s: float) -> float:
         """Time of the frame comoving with the orbit at s = 0.
@@ -293,7 +303,7 @@ class CircularWorldLine(WorldLine):
         Closed form obtained by integrating the dilation factor
         lam^2 (1 - speed^2 cos(phase)) over proper time.
         """
-        s = float(s)
+        s = _finite_time(s)
         lam = self.lorentz_factor
         return lam * lam * s - lam * self.angular_rate * self.radius ** 2 * math.sin(self._phase(s))
 
@@ -314,7 +324,7 @@ def _invert_increasing(clock, t: float, residual: float = 1e-12, max_newton: int
     or 8 ulp of t, whichever is larger: a large t cannot be resolved more
     finely, and below |t| = 1024 the ulp floor lies under the default.
     """
-    t = float(t)
+    t = _finite_time(t, "frame time")
     if t == 0.0:
         return 0.0
     forward, slope = clock
@@ -345,7 +355,7 @@ def frame_time_of_proper_time(u: AbsoluteVelocity, line: WorldLine, s: float) ->
     Zeroed at the world point of proper time 0; always increases with
     ``s`` because the dilation factor is at least 1.
     """
-    return line._frame_clock(u)[0](float(s))
+    return line._frame_clock(u)[0](_finite_time(s))
 
 
 def proper_time_of_frame_time(u: AbsoluteVelocity, line: WorldLine, t: float,

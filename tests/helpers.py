@@ -1,7 +1,7 @@
 """Shared helpers for the test suite."""
 import numpy as np
 
-from relkin import AbsoluteVelocity, FourVector, lorentz_dot, project_spatial
+from relkin import AbsoluteVelocity, FourVector, WorldLine, lorentz_dot, project_spatial
 
 
 def max_abs(arr) -> float:
@@ -34,3 +34,20 @@ def random_spacelike_unit(rng, u: AbsoluteVelocity) -> FourVector:
 
 def assert_orthogonal(u, x, tol=1e-12):
     assert abs(lorentz_dot(u, x)) <= tol
+
+
+class DelegatingLine(WorldLine):
+    """A minimal user-defined line: kinematics only through the public methods."""
+
+    def __init__(self, line):
+        self.line = line
+        self.default_step = line.default_step
+
+    def position(self, s):
+        return self.line.position(s)
+
+    def velocity(self, s):
+        return self.line.velocity(s)
+
+    def acceleration(self, s):
+        return self.line.acceleration(s)

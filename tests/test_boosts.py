@@ -24,6 +24,8 @@ from relkin import (
     thomas_rotation_discrete,
 )
 
+from relkin.minkowski import _form_error
+
 from helpers import max_abs, random_spacelike_unit, random_unit_vector, random_velocity
 
 U_REST = AbsoluteVelocity.rest()
@@ -174,6 +176,85 @@ class TestRelativeKinematics:
             g = gamma_factor(u, rdot)
             v = relative_velocity(u, rdot)
             assert abs(g * g * (1.0 - lorentz_dot(v, v)) - 1.0) < 1e-10
+
+
+def scalar_verdict(kernel, *args):
+    # (accepted, result as an array): what a scalar kernel returns, or that it raised
+    try:
+        return True, np.asarray(kernel(*args), dtype=float)
+    except ConstraintViolation:
+        return False, None
+
+
+class TestRowKernels:
+    """The block twins of the boost kernels give their bytes and their verdicts."""
+
+    def velocity_rows(self, rng, n):
+        # checked velocities up to speed 0.999, then rows that fail one check each
+        rows = [random_velocity(rng, 0.999).components for _ in range(n)]
+        return np.array(rows + [[-1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+                                [np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
+                                [1.0, 1e308, 1e308, 0.0]])
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_boost_rows_are_the_scalar_matrices(self, tol):
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            t = random_velocity(rng, 0.999).components
+            f = self.velocity_rows(rng, 400)
+            with np.errstate(all="ignore"):
+                m, ok = boosts._boost_rows(t, f, tol)
+            for k, row in enumerate(f.tolist()):
+                accepted, expected = scalar_verdict(boosts._boost_matrix, t.tolist(), row, tol)
+                assert ok[k] == accepted
+                if accepted:
+                    assert m[k].tobytes() == expected.tobytes()
+
+    def test_batched_residuals_are_the_scalar_residuals(self):
+        # stacked np.matmul makes the per-matrix BLAS calls, so the residuals
+        # the block compares are the scalar checks' own numbers
+        rng = np.random.default_rng(28)
+        for k in range(10):
+            t = random_velocity(rng, 0.999).components
+            f = np.array([random_velocity(rng, 0.999).components for _ in range(400)])
+            if k % 2:  # rows strided as in a kinematics block [n, (rdot, rddot), 4]
+                f = np.stack([f, np.zeros_like(f)], axis=1)[:, 0]
+            m, _ = boosts._boost_rows(t, f, 1.0)
+            form, carry = boosts._boost_residuals(m, t, f)
+            scalar = [boosts._boost_matrix(t.tolist(), row, 1.0) for row in f.tolist()]
+            expected_form = [_form_error(mk) for mk in scalar]
+            expected_carry = [float(abs(mk @ tuple(row) - t.tolist()).max())
+                              for mk, row in zip(scalar, f.tolist())]
+            assert form.tobytes() == np.array(expected_form).tobytes()
+            assert carry.tobytes() == np.array(expected_carry).tobytes()
+
+    def test_relative_kinematics_rows(self):
+        rng = np.random.default_rng(29)
+        moving = [1.25, 0.75, 0.0, 0.0]
+        for _ in range(10):
+            u = random_velocity(rng, 0.9).components
+            r, a = [], []
+            for _ in range(200):
+                rdot = random_velocity(rng, 0.99)
+                r.append(rdot.components)
+                a.append((random_spacelike_unit(rng, rdot) * rng.uniform(0.0, 5.0)).components)
+            # not orthogonal, NaN, an infinity that passes the orthogonality bound, and
+            # a tiny acceleration whose residual only the bound's floor of 1 admits
+            r += [moving, moving, moving, moving]
+            a += [[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0],
+                  [0.0, 1e-12, 0.0, 0.0]]
+            r, a = np.array(r), np.array(a)
+            with np.errstate(all="ignore"):
+                v = boosts._relative_velocity_rows(u, r)
+                acc, ok = boosts._relative_acceleration_rows(u, r, a, 1e-12)
+            expected_v = [boosts._relative_velocity(u.tolist(), row) for row in r.tolist()]
+            assert v.tobytes() == np.array(expected_v).tobytes()
+            for k in range(len(r)):
+                accepted, expected = scalar_verdict(
+                    boosts._relative_acceleration, u.tolist(), r[k].tolist(), a[k].tolist(), 1e-12)
+                assert ok[k] == accepted
+                if accepted and np.isfinite(expected).all():
+                    assert acc[k].tobytes() == expected.tobytes()
 
 
 class TestDiscreteThomasRotation:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from relkin import (
     project_spatial,
     wedge,
 )
-from relkin.minkowski import _form_error
+from relkin.minkowski import _form_error, _lowered, _lowered_rows, _wedge, _wedge_rows
 
 from helpers import max_abs, random_vector, random_velocity
 
@@ -115,6 +116,27 @@ class TestWedge:
         lhs = wedge(a * x + b * y, z).matrix
         rhs = a * wedge(x, z).matrix + b * wedge(y, z).matrix
         assert max_abs(lhs - rhs) < 1e-12
+
+
+class TestRowKernels:
+    """The [n, 4] twins of _lowered and _wedge give the scalar kernels' bytes."""
+
+    VALUES = (0.0, -0.0, 1.5, -2.5)
+
+    def test_lowered_rows_on_every_sign_of_zero(self):
+        # all 256 patterns, so signed zeros are compared too
+        rows = np.array(list(itertools.product(self.VALUES, repeat=4)))
+        expected = np.array([_lowered(tuple(r)) for r in rows.tolist()])
+        assert _lowered_rows(rows).tobytes() == expected.tobytes()
+
+    def test_wedge_rows(self):
+        rng = np.random.default_rng(14)
+        patterns = list(itertools.product(self.VALUES, repeat=4))
+        a = np.array([patterns[i] for i in rng.integers(0, 256, size=300)] + [*rng.normal(size=(50, 4))])
+        b = np.array([patterns[i] for i in rng.integers(0, 256, size=300)] + [*rng.normal(size=(50, 4))])
+        k = np.concatenate([np.ones(150), rng.uniform(0.1, 3.0, size=200)])
+        expected = np.array([_wedge(x, y, c) for x, y, c in zip(a.tolist(), b.tolist(), k.tolist())])
+        assert _wedge_rows(a, b, k).tobytes() == expected.tobytes()
 
 
 class TestExpMap:

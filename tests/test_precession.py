@@ -6,6 +6,7 @@ import pytest
 import warnings
 
 from relkin import (
+    E1,
     E2,
     E3,
     TOL,
@@ -15,6 +16,7 @@ from relkin import (
     DriftViolation,
     FourVector,
     InertialWorldLine,
+    LorentzMap,
     boost,
     central_frame_precession,
     exp_map,
@@ -36,7 +38,11 @@ from relkin import (
 )
 
 import relkin.precession as precession_module
-from helpers import max_abs, random_spacelike_unit, random_velocity
+from relkin.boosts import _boost_matrix, _relative_acceleration, _relative_velocity
+from relkin.precession import PrecessionSample, _rate_matrix
+from relkin.transport import GyroState
+from relkin.worldlines import _invert_increasing
+from helpers import DelegatingLine, max_abs, random_spacelike_unit, random_velocity
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -298,6 +304,254 @@ class TestSeriesIsThePublicComposition:
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             with pytest.raises(ConstraintViolation, match="grid spacing"):
                 precession_series(line.center_velocity, line, z0, [0.0, 5e-321, 1e-320])
+
+
+def per_sample_series(u, line, z0, t_grid, step=None, tol_drift=None):
+    """precession_series one sample at a time through the scalar kernels: the
+    oracle of the block pass, bytes and exceptions alike."""
+    ts = [float(t) for t in t_grid]
+    clock = line._frame_clock(u)
+    ss = [_invert_increasing(clock, t) for t in ts]
+    states = precession_module.transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
+    w, tol = u.components.tolist(), TOL.constraint
+    samples, zs = [], []
+    for t, state in zip(ts, states):
+        rdot, rddot = line._kinematics_arrays(state.s)
+        observed = FourVector(_boost_matrix(w, rdot, tol) @ state.z.components)
+        v = _relative_velocity(w, rdot)
+        a = _relative_acceleration(w, rdot, rddot, tol)
+        samples.append(PrecessionSample(t, observed, LorentzMap(_rate_matrix(v, a, tol))))
+        zs.append(observed.components.tolist())
+    for k in range(1, len(samples) - 1):
+        dt = ts[k + 1] - ts[k - 1]
+        inv_dt = 1.0 / dt
+        if not math.isfinite(inv_dt):
+            raise ConstraintViolation(f"frame-time grid spacing {dt} is too small to difference")
+        samples[k].z_dot = FourVector([(p - q) * inv_dt for p, q in zip(zs[k + 1], zs[k - 1])])
+    return samples
+
+
+def assert_matches_the_oracle(u, line, z0, grid, step=None):
+    got = precession_series(u, line, z0, grid, step=step)
+    expected = per_sample_series(u, line, z0, grid, step=step)
+    assert len(got) == len(expected) == len(grid)
+    for g, e in zip(got, expected):
+        assert g.t == e.t
+        assert g.z.components.tobytes() == e.z.components.tobytes()
+        assert g.rate.matrix.tobytes() == e.rate.matrix.tobytes()
+        assert not (g.z.components.flags.writeable or g.rate.matrix.flags.writeable)
+        assert (g.z_dot is None) == (e.z_dot is None)
+        if e.z_dot is not None:
+            assert g.z_dot.components.tobytes() == e.z_dot.components.tobytes()
+            assert not g.z_dot.components.flags.writeable
+
+
+CENTER = AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.4])
+EXPLICIT = AbsoluteVelocity.from_3velocity([-0.4, 0.5, 0.2])
+
+
+def _carried_plane(uc):
+    carry = boost(uc, AbsoluteVelocity.rest())
+    return carry(E3), carry(E1)
+
+
+CIRCLES = {
+    "rest": lambda speed: CircularWorldLine.from_plane(speed / 1.3, 1.3),
+    "boosted": lambda speed: CircularWorldLine.from_plane(speed / 1.3, 1.3, center_velocity=CENTER),
+    "plane": lambda speed: CircularWorldLine.from_plane(speed / 1.3, 1.3, plane=(E3, E1)),
+    "boosted-plane": lambda speed: CircularWorldLine.from_plane(
+        speed / 1.3, 1.3, plane=_carried_plane(CENTER), center_velocity=CENTER),
+}
+
+
+def orbit_grid(line, u, n_points):
+    t_max = frame_time_of_proper_time(u, line, 0.05 * line.proper_period)
+    return np.linspace(0.0, t_max, n_points)
+
+
+def gyro_of(line):
+    return boost(line.velocity(0.0), AbsoluteVelocity.rest())(FourVector([0.0, 0.2, -0.5, 0.8]))
+
+
+class RiggedLine(InertialWorldLine):
+    """A line at rest whose kinematics are replaced at chosen proper times.
+
+    Seen from the rest frame its proper time is the frame time, so each
+    grid point is the proper time of its sample.
+    """
+
+    def __init__(self, rigged):
+        super().__init__(AbsoluteVelocity.rest())
+        self.rigged = rigged
+
+    def _kinematics_arrays(self, s):
+        return self.rigged.get(s, self._kinematics)
+
+
+def transport_gives(monkeypatch, zs):
+    # the transport replaced by the given vectors at the requested proper times
+    def transport(line, z0, ss, **kwargs):
+        return [GyroState(s, FourVector(z)) for s, z in zip(ss, zs)]
+
+    monkeypatch.setattr(precession_module, "transport_path", transport)
+
+
+def raised(series, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        series(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+REST4, MOVING4, ZERO4, X4 = (1.0, 0.0, 0.0, 0.0), (1.25, 0.75, 0.0, 0.0), (0.0,) * 4, (0.0, 1.0, 0.0, 0.0)
+X, INF, NAN = FourVector(X4), math.inf, math.nan
+
+# name: (observer, frame-time grid, kinematics rigged by proper time, observed-space
+# vectors the transport hands over, the message the scalar path raises)
+FAILING_SERIES = {
+    "past-directed-at-sample-2": (
+        REST4, [0.0, 1.0, 2.0, 3.0], {2.0: ((-1.0, 0.0, 0.0, 0.0), ZERO4)}, [X4] * 4,
+        "future directed"),
+    "earlier-sample-fails-a-later-check": (
+        REST4, [0.0, 1.0, 2.0, 3.0],
+        {1.0: (REST4, REST4), 3.0: ((-1.0, 0.0, 0.0, 0.0), ZERO4)}, [X4] * 4,
+        "acceleration must be orthogonal"),
+    "off-the-lorentz-form": (
+        REST4, [0.0, 1.0, 2.0, 3.0], {3.0: ((2.0, 0.0, 0.0, 0.0), ZERO4)}, [X4] * 4,
+        "does not preserve the Lorentz form"),
+    "nan-acceleration": (
+        REST4, [0.0, 1.0, 2.0, 3.0], {2.0: (REST4, (NAN,) * 4)}, [X4] * 4,
+        "acceleration must be orthogonal"),
+    "infinite-acceleration-passes-orthogonality": (
+        REST4, [0.0, 1.0, 2.0, 3.0], {1.0: (MOVING4, (0.0, INF, 0.0, 0.0))}, [X4] * 4,
+        "map entries must be finite"),
+    "observed-vector-overflows": (
+        MOVING4, [0.0, 1.0, 2.0, 3.0], {}, [X4, X4, (1e308, 1.7e308, 0.0, 0.0), X4],
+        "components must be finite"),
+    "observed-vector-overflows-at-an-endpoint": (
+        MOVING4, [0.0, 1.0], {}, [X4, (1e308, 1.7e308, 0.0, 0.0)], "components must be finite"),
+    "z-dot-overflows": (
+        REST4, [0.0, 1e-308, 2e-308], {},
+        [(0.0, -2.0, 0.0, 0.0), X4, (0.0, 2.0, 0.0, 0.0)], "components must be finite"),
+}
+
+
+class TestBlockObservation:
+    """The block pass returns the per-sample oracle's bytes and raises its exceptions."""
+
+    @pytest.mark.parametrize("kind", sorted(CIRCLES))
+    @pytest.mark.parametrize("observer", ["center", "initial", "explicit"])
+    def test_circular_lines(self, kind, observer):
+        # seen from the initial frame a faster orbit reaches a relative speed whose
+        # boosts miss the Lorentz form by more than the tolerance
+        top = 0.9 if observer == "initial" else 0.99
+        for speed, n_points in ((0.3, 2), (0.3, 3), (top, 2), (top, 3), (top, 1000)):
+            line = CIRCLES[kind](speed)
+            u = {"center": line.center_velocity, "initial": line.velocity(0.0),
+                 "explicit": EXPLICIT}[observer]
+            grid = orbit_grid(line, u, n_points)
+            assert_matches_the_oracle(u, line, gyro_of(line), grid, line.proper_period / 2000)
+
+    @pytest.mark.parametrize("u", [AbsoluteVelocity.rest(), EXPLICIT], ids=["rest", "explicit"])
+    def test_inertial_line(self, u):
+        carrier = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.5, -0.2, 0.1]))
+        z0 = project_spatial(carrier.velocity(0.0), FourVector([0.0, 0.0, 1.0, 0.4]))
+        for n_points in (2, 3, 1000):
+            assert_matches_the_oracle(u, carrier, z0, np.linspace(0.0, 5.0, n_points))
+
+    def test_user_defined_line(self):
+        # no _kinematics_block of its own: the stacked fallback serves the block pass
+        line = DelegatingLine(CIRCLES["boosted-plane"](0.9))
+        for n_points in (2, 3, 1000):
+            assert_matches_the_oracle(EXPLICIT, line, gyro_of(line.line),
+                                      orbit_grid(line.line, EXPLICIT, n_points),
+                                      line.line.proper_period / 2000)
+
+    @pytest.mark.parametrize("case", sorted(FAILING_SERIES))
+    def test_raises_what_the_oracle_raises(self, case, monkeypatch):
+        w, grid, rigged, zs, message = FAILING_SERIES[case]
+        u, line = AbsoluteVelocity(w), RiggedLine(rigged)
+        transport_gives(monkeypatch, zs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the oracle's overflowing matmul warns first
+            expected = raised(per_sample_series, u, line, X, grid)
+        assert expected[0] is ConstraintViolation and message in expected[1]
+        assert raised(precession_series, u, line, X, grid) == expected
+
+    def test_fast_orbit_from_the_initial_frame_raises_what_the_oracle_raises(self):
+        # at rest relative to the observer at sample 0, then fast enough that a
+        # later sample's boost misses the Lorentz form
+        line = CIRCLES["rest"](0.99)
+        u = line.velocity(0.0)
+        args = (u, line, gyro_of(line), orbit_grid(line, u, 40), line.proper_period / 2000)
+        expected = raised(per_sample_series, *args)
+        assert "Lorentz form" in expected[1]
+        assert raised(precession_series, *args) == expected
+
+    def test_subnormal_grid_spacing_raises_what_the_oracle_raises(self):
+        line = standard_line()
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        grid = [0.0, 5e-321, 1e-320]
+        expected = raised(per_sample_series, line.center_velocity, line, z0, grid)
+        assert "grid spacing" in expected[1]
+        assert raised(precession_series, line.center_velocity, line, z0, grid) == expected
+
+    def test_zero_tolerance_raises_what_the_oracle_raises(self, monkeypatch):
+        u, line, z0, grid, step = observed_orbit(0.6, "explicit", True, seed=5)
+        transport = precession_module.transport_path
+
+        def then_no_tolerance(*args, **kwargs):
+            states = transport(*args, **kwargs)
+            monkeypatch.setattr(TOL, "constraint", 0.0)
+            return states
+
+        tol = TOL.constraint
+        monkeypatch.setattr(precession_module, "transport_path", then_no_tolerance)
+        expected = raised(per_sample_series, u, line, z0, grid, step=step)
+        assert "boost" in expected[1]
+        monkeypatch.setattr(TOL, "constraint", tol)
+        assert raised(precession_series, u, line, z0, grid, step=step) == expected
+
+    def test_scalar_kernels_run_only_to_raise(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            kernel = getattr(precession_module, name)
+            return lambda *args: calls.append(name) or kernel(*args)
+
+        for name in ("_boost_matrix", "_relative_velocity", "_relative_acceleration", "_rate_matrix"):
+            monkeypatch.setattr(precession_module, name, spy(name))
+        u, line, z0, grid, step = observed_orbit(0.9, "explicit", True, seed=9)
+        precession_series(u, line, z0, grid, step=step)
+        assert calls == []
+        transport_gives(monkeypatch, [X4] * 4)
+        rigged = RiggedLine({2.0: ((-1.0, 0.0, 0.0, 0.0), ZERO4)})
+        with pytest.raises(ConstraintViolation, match="future directed"):
+            precession_series(AbsoluteVelocity.rest(), rigged, X, [0.0, 1.0, 2.0, 3.0])
+        assert calls == ["_boost_matrix"]
+
+    def test_rate_rows_are_the_scalar_rates(self):
+        rng = np.random.default_rng(71)
+        u = random_velocity(rng, 0.9)
+        v = [(random_spacelike_unit(rng, u) * rng.uniform(0.0, 0.999)).components
+             for _ in range(300)]
+        a = [(random_spacelike_unit(rng, u) * rng.uniform(0.0, 5.0)).components
+             for _ in range(300)]
+        # at rest, at the speed of light, beyond it, timelike, NaN, overflowing
+        v += [np.zeros(4), [0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+              [np.nan, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]
+        a += [np.ones(4), np.ones(4), np.ones(4), np.ones(4), np.ones(4), [0.0, 0.0, 1e308, 0.0]]
+        v, a = np.array(v), np.array(a)
+        with np.errstate(all="ignore"):
+            rate, ok = precession_module._rate_rows(v, a, 1e-12)
+        for k in range(len(v)):
+            try:
+                expected = LorentzMap(precession_module._rate_matrix(
+                    v[k].tolist(), a[k].tolist(), 1e-12)).matrix
+            except ConstraintViolation:
+                assert not ok[k]
+            else:
+                assert ok[k]
+                assert rate[k].tobytes() == expected.tobytes()
 
 
 def nine_dot_rate_components(rate, u, frame):

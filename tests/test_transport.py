@@ -18,7 +18,6 @@ from relkin import (
     InertialWorldLine,
     LorentzMap,
     VelocityMismatch,
-    WorldLine,
     boost,
     circular_thomas_angle,
     circular_transport_generator,
@@ -39,7 +38,7 @@ from relkin import (
 
 from relkin.transport import _BLOCK, MAX_STEPS, _generators, _rk4_operator, _steps
 
-from helpers import max_abs, random_spacelike_unit, random_velocity
+from helpers import DelegatingLine, max_abs, random_spacelike_unit, random_velocity
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -424,23 +423,6 @@ def per_step_rk4_operator(line, m, s1, s2, step):
         m = m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         w_lo = w_hi
     return m
-
-
-class DelegatingLine(WorldLine):
-    """A minimal user-defined line: kinematics only through the public methods."""
-
-    def __init__(self, line):
-        self.line = line
-        self.default_step = line.default_step
-
-    def position(self, s):
-        return self.line.position(s)
-
-    def velocity(self, s):
-        return self.line.velocity(s)
-
-    def acceleration(self, s):
-        return self.line.acceleration(s)
 
 
 def _boosted_plane_line():

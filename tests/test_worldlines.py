@@ -17,10 +17,16 @@ from relkin import (
     LorentzMap,
     WorldLine,
     boost,
+    fermi_walker_derivative,
     frame_time_of_proper_time,
     lorentz_dot,
+    precession_series,
     project_spatial,
     proper_time_of_frame_time,
+    thomas_rotation_general,
+    transport_circular_exact,
+    transport_numeric,
+    transport_path,
     wedge,
 )
 
@@ -266,6 +272,56 @@ class TestTimeConversions:
             s = rng.uniform(-2.0, 8.0)
             t = frame_time_of_proper_time(u, line, s)
             assert abs(proper_time_of_frame_time(u, line, t) - s) < 1e-10
+
+
+def _finite_time_calls():
+    line = standard_line()
+    inertial = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.5, 0.0, 0.0]))
+    u = AbsoluteVelocity.from_3velocity([0.0, 0.3, 0.0])
+    z0 = FourVector([0.0, 0.0, 0.0, 1.0])
+    return {
+        "circular.velocity": lambda x: line.velocity(x),
+        "circular.acceleration": lambda x: line.acceleration(x),
+        "circular.position": lambda x: line.position(x),
+        "circular.initial_time_of_proper_time": lambda x: line.initial_time_of_proper_time(x),
+        "circular.proper_time_of_initial_time": lambda x: line.proper_time_of_initial_time(x),
+        "circular.center_time_of_proper_time": lambda x: line.center_time_of_proper_time(x),
+        "circular.proper_time_of_center_time": lambda x: line.proper_time_of_center_time(x),
+        "inertial.velocity": lambda x: inertial.velocity(x),
+        "inertial.acceleration": lambda x: inertial.acceleration(x),
+        "inertial.position": lambda x: inertial.position(x),
+        "frame_time_of_proper_time": lambda x: frame_time_of_proper_time(u, line, x),
+        "frame_time_of_proper_time.inertial": lambda x: frame_time_of_proper_time(u, inertial, x),
+        "proper_time_of_frame_time": lambda x: proper_time_of_frame_time(u, line, x),
+        "thomas_rotation_general": lambda x: thomas_rotation_general(line, 0.0, x),
+        "precession_series": lambda x: precession_series(
+            u, line, z0, [x, 0.0] if x < 0.0 else [0.0, x]),
+        "transport_path": lambda x: transport_path(line, z0, [0.0, x, 1.0]),
+        "transport_path.s_start": lambda x: transport_path(line, z0, [1.0], s_start=x),
+        "transport_numeric": lambda x: transport_numeric(line, z0, 0.0, x),
+        "transport_circular_exact": lambda x: transport_circular_exact(line, z0, x),
+        "fermi_walker_derivative": lambda x: fermi_walker_derivative(line, x, z0),
+    }
+
+
+class TestNonFiniteTimes:
+    """An infinite or NaN time is a ConstraintViolation naming it, never a numpy
+    warning, a math domain error or a result."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("call", sorted(_finite_time_calls()))
+    def test_is_a_constraint_violation(self, call, value):
+        with pytest.raises(ConstraintViolation, match=r"time must be finite, got -?(inf|nan)"):
+            _finite_time_calls()[call](value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_inside_a_precession_grid_is_named(self):
+        # NaN passes the ordering check, then the inversion names it
+        line = standard_line()
+        z0 = FourVector([0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ConstraintViolation, match="frame time must be finite, got nan"):
+            precession_series(line.center_velocity, line, z0, [0.0, math.nan, 1.0])
 
 
 class GenericLine(WorldLine):
