@@ -35,11 +35,9 @@ _EYE = np.eye(4)
 class Boost(LorentzMap):
     """Lorentz boost carrying frame ``u_from`` onto frame ``u_to``."""
 
-    def __init__(self, matrix, u_to: AbsoluteVelocity, u_from: AbsoluteVelocity,
-                 tol: float | None = None):
+    def __init__(self, matrix, u_to: AbsoluteVelocity, u_from: AbsoluteVelocity):
         super().__init__(matrix)
-        _require_boost(self.matrix, u_to.components, u_from.components,
-                       TOL.constraint if tol is None else tol)
+        _require_boost(self.matrix, u_to.components, u_from.components, TOL.constraint)
         self.u_to = u_to
         self.u_from = u_from
 
@@ -168,7 +166,6 @@ def relative_acceleration(
     u: AbsoluteVelocity,
     rdot: AbsoluteVelocity,
     rddot: FourVector,
-    tol: float | None = None,
 ) -> FourVector:
     """Acceleration of a point as seen by frame ``u``.
 
@@ -177,7 +174,7 @@ def relative_acceleration(
     """
     return FourVector(_relative_acceleration(
         u.components.tolist(), rdot.components.tolist(), rddot.components.tolist(),
-        TOL.constraint if tol is None else tol,
+        TOL.constraint,
     ))
 
 
@@ -210,7 +207,6 @@ def thomas_rotation_discrete(
     u: AbsoluteVelocity,
     u1: AbsoluteVelocity,
     u2: AbsoluteVelocity,
-    tol: float = 1e-10,
 ) -> SpatialRotation:
     """Residual rotation of the boost chain u -> u1 -> u2 -> u.
 
@@ -218,7 +214,7 @@ def thomas_rotation_discrete(
     rotation of the space vectors of ``u``.
     """
     m = boost(u, u2).matrix @ boost(u2, u1).matrix @ boost(u1, u).matrix
-    return SpatialRotation(m, u, tol=tol)
+    return SpatialRotation(m, u, tol=1e-10)
 
 
 def rotation_angle_axis(
@@ -263,7 +259,6 @@ def coplanar(
     u: AbsoluteVelocity,
     u1: AbsoluteVelocity,
     u2: AbsoluteVelocity,
-    tol: float | None = None,
 ) -> bool:
     """True when the three velocities span at most a 2-plane.
 
@@ -271,8 +266,7 @@ def coplanar(
     relative to the largest; scale-invariant and robust for fast
     velocities.
     """
-    tol = TOL.rank if tol is None else tol
     cols = np.column_stack([u.components, u1.components, u2.components])
     sv = np.linalg.svd(cols, compute_uv=False)
-    return bool(sv[-1] < tol * sv[0])
+    return bool(sv[-1] < TOL.rank * sv[0])
 

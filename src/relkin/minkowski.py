@@ -84,11 +84,10 @@ class AbsoluteVelocity(FourVector):
 
     __slots__ = ()
 
-    def __init__(self, components, tol: float | None = None):
+    def __init__(self, components):
         super().__init__(components)
-        tol = TOL.constraint if tol is None else tol
         sq = lorentz_dot(self, self)
-        if not abs(sq + 1.0) <= tol:  # a NaN square fails too
+        if not abs(sq + 1.0) <= TOL.constraint:  # a NaN square fails too
             raise ConstraintViolation(f"four-velocity must square to -1, got {sq}")
         if self.components[0] <= 0.0:
             raise ConstraintViolation("four-velocity must be future directed")
@@ -288,21 +287,20 @@ def _elliptic_exp(m: np.ndarray, rate: float, t: float) -> np.ndarray:
     return np.eye(4) + (math.sin(ph) / rate) * m + ((1.0 - math.cos(ph)) / rate ** 2) * (m @ m)
 
 
-def antisymmetric_magnitude(generator: LorentzMap, tol: float | None = None) -> float:
+def antisymmetric_magnitude(generator: LorentzMap) -> float:
     """Rotation rate sqrt(1/2 Tr(A* A)) of a rotation-like antisymmetric map.
 
     Meaningful for generators acting as a rotation on a spacelike plane
     (zero elsewhere); rejects generators whose invariant is negative,
     i.e. boost-dominated ones.
     """
-    tol = TOL.constraint if tol is None else tol
     m = generator.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         sq = 0.5 * float(np.trace((METRIC @ m.T @ METRIC) @ m))
     if not math.isfinite(sq):
         raise ConstraintViolation("generator is too large: its squared magnitude overflows")
     scale = max(1.0, float(np.max(np.abs(m))) ** 2)
-    if sq < -tol * scale:
+    if sq < -TOL.constraint * scale:
         raise ConstraintViolation(f"generator is boost-like, squared magnitude {sq}")
     return math.sqrt(max(sq, 0.0))
 

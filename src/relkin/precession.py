@@ -59,15 +59,14 @@ class PrecessionSample:
     z_dot: FourVector | None = None
 
 
-def precession_rate(v: FourVector, a: FourVector, tol: float | None = None) -> LorentzMap:
+def precession_rate(v: FourVector, a: FourVector) -> LorentzMap:
     """Angular velocity (gamma^2 / (1 + gamma)) v ^ a of the observed precession.
 
     ``v`` and ``a`` are the relative velocity and acceleration in the
     observer's space; |v| must stay below 1.  Equals ((gamma - 1)/|v|^2) v ^ a
     for nonzero v.
     """
-    return LorentzMap(_rate_matrix(v.components.tolist(), a.components.tolist(),
-                                   TOL.constraint if tol is None else tol))
+    return LorentzMap(_rate_matrix(v.components.tolist(), a.components.tolist(), TOL.constraint))
 
 
 def _rate_matrix(v, a, tol: float) -> np.ndarray:
@@ -242,30 +241,37 @@ def initial_frame_special_instants(line: CircularWorldLine, n: int = 1) -> Speci
     follows from pushing the closed-form velocity and acceleration through
     the precession law.
     """
-    if n < 1:
-        raise ConstraintViolation("instant index must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConstraintViolation(f"instant index must be a positive integer, got {n!r}")
     lam = line.lorentz_factor
     rate = line.angular_rate
+    try:
+        k_even = 2.0 * int(n)  # the even phase over pi
+    except OverflowError:
+        k_even = math.inf
+    k_odd = k_even - 1.0
+    s_even, t_even = k_even * np.pi / (rate * lam), k_even * np.pi * lam / rate
+    s_odd, t_odd = k_odd * np.pi / (rate * lam), k_odd * np.pi * lam / rate
+    if not all(map(math.isfinite, (s_even, t_even, s_odd, t_odd))):
+        raise ConstraintViolation("instant index is too large: its instants overflow a float")
     uc = line.center_velocity
     q = line.radius_vector
     omq = line.angular_velocity(q)
     x = line.orbital_speed ** 2
 
-    s_even = 2.0 * n * np.pi / (rate * lam)
     even = FrameInstant(
         proper_time=s_even,
-        frame_time=2.0 * n * np.pi * lam / rate,
+        frame_time=t_even,
         velocity=FourVector(np.zeros(4)),
         rate=LorentzMap(np.zeros((4, 4))),
     )
 
-    s_odd = (2.0 * n - 1.0) * np.pi / (rate * lam)
     v_odd = (-2.0 * lam / (1.0 + x)) * (x * uc + omq)
     a_odd = ((1.0 - x) * rate ** 2 / (1.0 + x) ** 2) * q
     rate_odd = (-lam * rate ** 2 / (1.0 + x)) * wedge(x * uc + omq, q)
     odd = FrameInstant(
         proper_time=s_odd,
-        frame_time=(2.0 * n - 1.0) * np.pi * lam / rate,
+        frame_time=t_odd,
         velocity=v_odd,
         rate=rate_odd,
         acceleration=a_odd,

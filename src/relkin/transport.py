@@ -191,7 +191,6 @@ def transport_numeric(
     s1: float,
     s2: float,
     step: float | None = None,
-    tol_drift: float | None = None,
 ) -> GyroState:
     """Transport ``z0`` from proper time ``s1`` to ``s2`` by fixed-step RK4.
 
@@ -199,7 +198,7 @@ def transport_numeric(
     is the line's ``default_step`` (period / 10 000 on circular lines, one
     exact step on inertial ones); global error is fourth order in the step.
     """
-    return transport_path(line, z0, [s2], s_start=s1, step=step, tol_drift=tol_drift)[0]
+    return transport_path(line, z0, [s2], s_start=s1, step=step)[0]
 
 
 def transport_path(
@@ -242,15 +241,14 @@ def transport_operator_numeric(
     s1: float,
     s2: float,
     step: float | None = None,
-    tol: float | None = None,
 ) -> LorentzMap:
     """Transport map s1 -> s2 as a ``LorentzMap``, by integrating basis vectors.
 
     A form error, or an error carrying the velocity at ``s1`` to that at
-    ``s2``, above ``tol`` (default ``TOL.numeric``) is a ``DriftViolation``.
+    ``s2``, above ``TOL.numeric`` is a ``DriftViolation``.
     """
-    s1, s2 = float(s1), float(s2)
-    tol = TOL.numeric if tol is None else tol
+    s1, s2 = _finite_time(s1), _finite_time(s2)
+    tol = TOL.numeric
     step = _resolve_step(line, abs(s2 - s1), step)
     m = _rk4_operator(line, np.eye(4), s1, s2, step)
     form = _form_error(m)

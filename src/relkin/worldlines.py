@@ -137,9 +137,8 @@ class CircularWorldLine(WorldLine):
         angular_velocity: LorentzMap,
         radius_vector: FourVector,
         origin: FourVector = ZERO,
-        tol: float | None = None,
     ):
-        tol = TOL.constraint if tol is None else tol
+        tol = TOL.constraint
         uc = center_velocity.components
         om = angular_velocity.matrix
         q = radius_vector.components
@@ -151,7 +150,7 @@ class CircularWorldLine(WorldLine):
         with np.errstate(over="ignore", invalid="ignore"):
             if not float(np.max(np.abs(om @ uc))) <= tol:
                 raise ConstraintViolation("angular velocity must kill the center velocity")
-            rate = antisymmetric_magnitude(angular_velocity, tol)
+            rate = antisymmetric_magnitude(angular_velocity)
             if not rate > tol:
                 raise ConstraintViolation("angular velocity must be nonzero")
             if not abs(_mdot(uc, q)) <= tol:
@@ -178,9 +177,7 @@ class CircularWorldLine(WorldLine):
         self.radius = radius
         self.orbital_speed = speed
         self.lorentz_factor = 1.0 / math.sqrt(1.0 - speed * speed)
-        self.initial_velocity = AbsoluteVelocity(
-            self.lorentz_factor * (uc + om @ q), tol=max(tol, 1e-12)
-        )
+        self.initial_velocity = AbsoluteVelocity(self.lorentz_factor * (uc + om @ q))
         self.proper_period = 2.0 * math.pi / (rate * self.lorentz_factor)
         self.center_period = 2.0 * math.pi / rate
         self.default_step = self.proper_period / 10_000
@@ -273,22 +270,17 @@ class CircularWorldLine(WorldLine):
 
     def _frame_clock(self, u: AbsoluteVelocity):
         # t(s) = -u.(x(s) - x(0)) = A s + B (cos(phase) - 1) + C sin(phase), with A = lam (-u.u_c),
-        # B = -u.q, C = -u.(Om q)/rate; the slope -u.v(s) forms v(s) as _kinematics_arrays does
+        # B = -u.q, C = -u.(Om q)/rate; the slope is -u.v(s) with v(s) from _kinematics_arrays
         w = u.components.tolist()
         a = self.lorentz_factor * -_mdot(w, self.center_velocity.components.tolist())
         b, c = -_mdot(w, self._q.tolist()), -_mdot(w, self._omq_over_rate.tolist())
-        spin, terms = self._spin, self._vel_terms
+        spin, kin = self._spin, self._kinematics_arrays
 
         def forward(s: float) -> float:
             ph = spin * s
             return a * s + b * (math.cos(ph) - 1.0) + c * math.sin(ph)
 
-        def slope(s: float) -> float:
-            ph = spin * s
-            co, si = math.cos(ph), math.sin(ph)
-            return -_mdot(w, [k + co * x + si * y for k, x, y in terms])
-
-        return forward, slope
+        return forward, lambda s: -_mdot(w, kin(s)[0])
 
     def center_time_of_proper_time(self, s: float) -> float:
         """Center-frame time elapsed at proper time ``s`` (linear dilation)."""
@@ -307,30 +299,29 @@ class CircularWorldLine(WorldLine):
         lam = self.lorentz_factor
         return lam * lam * s - lam * self.angular_rate * self.radius ** 2 * math.sin(self._phase(s))
 
-    def proper_time_of_initial_time(
-        self, t: float, residual: float = 1e-12, max_newton: int = 50
-    ) -> float:
+    def proper_time_of_initial_time(self, t: float) -> float:
         """Invert :meth:`initial_time_of_proper_time`: the frame-time inversion
         of :func:`proper_time_of_frame_time` for the initial velocity."""
-        return proper_time_of_frame_time(self.initial_velocity, self, t, residual, max_newton)
+        return proper_time_of_frame_time(self.initial_velocity, self, t)
 
 
-def _invert_increasing(clock, t: float, residual: float = 1e-12, max_newton: int = 50) -> float:
+def _invert_increasing(clock, t: float) -> float:
     """Solve forward(s) = t on a clock (forward, slope) from ``WorldLine._frame_clock``.
 
     Newton iteration from the guess s = t with a bisection fallback;
     forward increases with slope at least 1, so |forward(s) - t| bounds
-    the error in s.  Both stop once that residual is below ``residual``
-    or 8 ulp of t, whichever is larger: a large t cannot be resolved more
-    finely, and below |t| = 1024 the ulp floor lies under the default.
+    the error in s.  Both stop once that residual is below 1e-12 or 8 ulp
+    of t, whichever is larger: a large t cannot be resolved more finely,
+    and below |t| = 1024 the ulp floor lies under 1e-12.  Newton gets 50
+    iterations before bisection takes over.
     """
     t = _finite_time(t, "frame time")
     if t == 0.0:
         return 0.0
     forward, slope = clock
-    residual = max(residual, 8.0 * math.ulp(t))
+    residual = max(1e-12, 8.0 * math.ulp(t))
     s = t
-    for _ in range(max_newton):
+    for _ in range(50):
         f = forward(s) - t
         if abs(f) < residual:
             return s
@@ -358,12 +349,11 @@ def frame_time_of_proper_time(u: AbsoluteVelocity, line: WorldLine, s: float) ->
     return line._frame_clock(u)[0](_finite_time(s))
 
 
-def proper_time_of_frame_time(u: AbsoluteVelocity, line: WorldLine, t: float,
-                              residual: float = 1e-12, max_newton: int = 50) -> float:
+def proper_time_of_frame_time(u: AbsoluteVelocity, line: WorldLine, t: float) -> float:
     """Invert :func:`frame_time_of_proper_time` for any world line.
 
     Newton iteration with a bisection fallback; the map is strictly
     increasing with slope -u.velocity(s) >= 1, so the residual bounds the
     error in s directly.
     """
-    return _invert_increasing(line._frame_clock(u), t, residual, max_newton)
+    return _invert_increasing(line._frame_clock(u), t)

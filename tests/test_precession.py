@@ -627,9 +627,21 @@ class TestInitialFrameInstants:
         moved = inst.odd.rate(line.initial_velocity)
         assert max_abs(moved.components) < 1e-12
 
-    def test_rejects_bad_index(self):
+    @pytest.mark.parametrize("n", [
+        0, -1, np.int64(0), True, np.True_, 1.5, 2.0, "1", math.inf, math.nan,
+        pytest.param(10**308, id="10**308"),  # the instants overflow to inf
+        pytest.param(10**400, id="10**400"),  # the index overflows a float
+    ])
+    def test_rejects_bad_index(self, n):
         with pytest.raises(ConstraintViolation):
-            initial_frame_special_instants(standard_line(), 0)
+            initial_frame_special_instants(standard_line(), n)
+
+    def test_numpy_index_is_the_int_index(self):
+        line = standard_line()
+        got = initial_frame_special_instants(line, np.int64(3))
+        want = initial_frame_special_instants(line, 3)
+        for g, w in ((got.even, want.even), (got.odd, want.odd)):
+            assert (g.proper_time, g.frame_time) == (w.proper_time, w.frame_time)
 
 
 class TestFrameDependence:

@@ -26,6 +26,7 @@ from relkin import (
     thomas_rotation_general,
     transport_circular_exact,
     transport_numeric,
+    transport_operator_numeric,
     transport_path,
     wedge,
 )
@@ -111,7 +112,7 @@ class TestNanFailsEveryConstructionCheck:
             CircularWorldLine(uc, LorentzMap(om), E1)
 
     def test_rate(self, monkeypatch):
-        monkeypatch.setattr(worldlines, "antisymmetric_magnitude", lambda gen, tol: math.nan)
+        monkeypatch.setattr(worldlines, "antisymmetric_magnitude", lambda gen: math.nan)
         with pytest.raises(ConstraintViolation, match="angular velocity must be nonzero"):
             CircularWorldLine(AbsoluteVelocity.rest(), 0.6 * wedge(E2, E1), E1)
 
@@ -299,6 +300,8 @@ def _finite_time_calls():
         "transport_path": lambda x: transport_path(line, z0, [0.0, x, 1.0]),
         "transport_path.s_start": lambda x: transport_path(line, z0, [1.0], s_start=x),
         "transport_numeric": lambda x: transport_numeric(line, z0, 0.0, x),
+        "transport_operator_numeric.s1": lambda x: transport_operator_numeric(line, x, 1.0),
+        "transport_operator_numeric.s2": lambda x: transport_operator_numeric(line, 0.0, x),
         "transport_circular_exact": lambda x: transport_circular_exact(line, z0, x),
         "fermi_walker_derivative": lambda x: fermi_walker_derivative(line, x, z0),
     }
