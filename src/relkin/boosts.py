@@ -66,9 +66,9 @@ class SpatialRotation(LorentzMap):
                 raise ConstraintViolation("rotation does not fix its velocity")
             self.u = u
             self.frame = orthonormal_spatial_frame(u)
-            cols = [self.matrix @ fj.components for fj in self.frame]
-            self._restriction = r = np.array([[float(_mdot(fi.components, c)) for c in cols]
-                                              for fi in self.frame])
+            rows = [f.components.tolist() for f in self.frame]
+            cols = [(self.matrix @ f.components).tolist() for f in self.frame]
+            self._restriction = r = np.array([[_mdot(fi, c) for c in cols] for fi in rows])
             r.setflags(write=False)
             if not float(np.max(np.abs(r.T @ r - np.eye(3)))) <= tol:
                 raise ConstraintViolation("restriction to the spatial subspace is not orthogonal")
@@ -251,8 +251,8 @@ def rotation_angle_axis(
     angle = math.atan2(0.5 * float(w @ a), cos_t)
     if angle <= -math.pi:
         angle = math.pi
-    axis = frame[0] * a[0] + frame[1] * a[1] + frame[2] * a[2]
-    return angle, axis
+    f0, f1, f2 = (f.components for f in frame)
+    return angle, FourVector(f0 * a[0] + f1 * a[1] + f2 * a[2])
 
 
 def coplanar(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -50,6 +51,14 @@ _ENV_OUT = "RELKIN_OUT"
 
 #: Most output rows one scenario may ask for; more is an input error.
 MAX_POINTS = 10**6
+
+#: Deepest nesting of YAML collections a scenario file may use (scenarios nest 3 deep).
+#: libyaml composes nodes by C recursion, which overflows the stack on deep input.
+MAX_DEPTH = 16
+
+#: libyaml's safe loader where PyYAML was built with it, else the pure-Python one;
+#: both construct with the same SafeConstructor and resolver.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _WORLDLINE_KEYS = {
     "circular": {"type", "omega", "rho", "center_velocity", "plane"},
@@ -164,9 +173,7 @@ def _worldline_from(cfg, name: str = "worldline") -> WorldLine:
     wtype = cfg.get("type")
     if not isinstance(wtype, str) or wtype not in _WORLDLINE_KEYS:  # a list is unhashable
         raise ScenarioError(f"world line type must be one of {sorted(_WORLDLINE_KEYS)}")
-    unknown = set(cfg) - _WORLDLINE_KEYS[wtype]
-    if unknown:
-        raise ScenarioError(f"unknown world line fields: {sorted(unknown)}")
+    _reject_unknown(cfg, _WORLDLINE_KEYS[wtype], "world line")
     if wtype == "inertial":
         velocity = _require(cfg, "velocity", wtype, "world line type")
         return InertialWorldLine(_velocity_from_3(velocity, "velocity"))
@@ -290,24 +297,48 @@ _KINDS = {
 }
 
 
+def _check_depth(text: str) -> None:
+    # libyaml's event parser is iterative, so counting its events is safe at any depth
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ScenarioError(f"scenario nests deeper than {MAX_DEPTH} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def _load_scenario(path: Path) -> dict:
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from exc
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        cfg = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
+        _check_depth(text)
+        cfg = yaml.load(text, Loader=_LOADER)
+    except ScenarioError:
+        raise
+    except Exception as exc:  # a YAMLError, or a constructor's IndexError or ValueError
         raise ScenarioError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario file must contain a mapping")
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:  # a list or mapping is unhashable
-        raise ScenarioError(f"scenario kind must be one of {sorted(_KINDS)}, got {kind!r}")
-    unknown = set(cfg) - _KINDS[kind][2]
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+        # aliases can nest a list deeper and wider than repr should follow
+        got = repr(kind) if isinstance(kind, str) else reprlib.repr(kind)
+        raise ScenarioError(f"scenario kind must be one of {sorted(_KINDS)}, got {got}")
+    _reject_unknown(cfg, _KINDS[kind][2], "scenario")
     return cfg
+
+
+def _reject_unknown(cfg: dict, allowed: set, noun: str) -> None:
+    unknown = set(cfg) - allowed
+    if unknown:  # keys may mix types, which do not compare
+        names = sorted(unknown, key=lambda k: (type(k).__name__, repr(k)))
+        raise ScenarioError(f"unknown {noun} fields: {names}")
 
 
 def run_scenario(

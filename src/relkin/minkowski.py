@@ -49,13 +49,7 @@ class FourVector:
         negative values from roundoff are clamped to zero, genuinely
         timelike vectors are rejected.
         """
-        c = self.components.tolist()
-        sq = _mdot(c, c)
-        if not math.isfinite(sq):
-            raise ConstraintViolation(f"the Lorentz square of {self!r} overflows")
-        if sq < -TOL.constraint * max(1.0, max(map(abs, c)) ** 2):
-            raise ConstraintViolation(f"norm of a timelike vector (square = {sq})")
-        return math.sqrt(max(sq, 0.0))
+        return _norm(self.components.tolist(), type(self).__name__)
 
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.components + other.components)
@@ -75,8 +69,22 @@ class FourVector:
         return FourVector(self.components / float(scalar))
 
     def __repr__(self) -> str:
-        c = ", ".join(format(v, ".6g") for v in self.components)
-        return f"{type(self).__name__}({c})"
+        return _text(self.components.tolist(), type(self).__name__)
+
+
+def _text(c, name: str = "FourVector") -> str:
+    # the repr of a four-vector of class ``name`` with components c
+    return f"{name}({', '.join(format(v, '.6g') for v in c)})"
+
+
+def _norm(c, name: str = "FourVector") -> float:
+    # FourVector.norm of four floats c, the components of a ``name``
+    sq = _mdot(c, c)
+    if not math.isfinite(sq):
+        raise ConstraintViolation(f"the Lorentz square of {_text(c, name)} overflows")
+    if sq < -TOL.constraint * max(1.0, max(map(abs, c)) ** 2):
+        raise ConstraintViolation(f"norm of a timelike vector (square = {sq})")
+    return math.sqrt(max(sq, 0.0))
 
 
 class AbsoluteVelocity(FourVector):
@@ -313,15 +321,22 @@ def orthonormal_spatial_frame(
     Gram-Schmidt on the projections of e1, e2, e3; the projections are
     always independent because u is timelike.  The resulting basis makes
     (u, f1, f2, f3) positively oriented, and reduces to (e1, e2, e3) for
-    the base frame.
+    the base frame.  Runs on floats, each entry in the order of the
+    FourVector arithmetic x + u (u.x), f - g (g.f), f / |f|.
     """
-    frame: list[FourVector] = []
-    for e in (E1, E2, E3):
-        f = project_spatial(u, e)
+    uc = u.components.tolist()
+    frame: list[list[float]] = []
+    for e in _UNITS[1:]:
+        d = _mdot(uc, e)
+        f = [ej + uj * d for ej, uj in zip(e, uc)]
         for g in frame:
-            f = f - g * lorentz_dot(g, f)
-        frame.append(f / f.norm())
-    return frame[0], frame[1], frame[2]
+            d = _mdot(g, f)
+            f = [fj - gj * d for fj, gj in zip(f, g)]
+        n = _norm(f)
+        if n == 0.0:
+            raise ConstraintViolation("the space vectors of this velocity are degenerate")
+        frame.append([fj / n for fj in f])
+    return FourVector(frame[0]), FourVector(frame[1]), FourVector(frame[2])
 
 
 E0 = FourVector([1.0, 0.0, 0.0, 0.0])
@@ -330,5 +345,6 @@ E2 = FourVector([0.0, 0.0, 1.0, 0.0])
 E3 = FourVector([0.0, 0.0, 0.0, 1.0])
 ZERO = FourVector([0.0, 0.0, 0.0, 0.0])
 BASIS = (E0, E1, E2, E3)
+_UNITS = tuple(e.components.tolist() for e in BASIS)
 
 _REST = AbsoluteVelocity([1.0, 0.0, 0.0, 0.0])

@@ -254,6 +254,9 @@ def initial_frame_special_instants(line: CircularWorldLine, n: int = 1) -> Speci
     s_odd, t_odd = k_odd * np.pi / (rate * lam), k_odd * np.pi * lam / rate
     if not all(map(math.isfinite, (s_even, t_even, s_odd, t_odd))):
         raise ConstraintViolation("instant index is too large: its instants overflow a float")
+    if not (s_odd < s_even and t_odd < t_even):  # from n = 2**52 the two round together
+        raise ConstraintViolation(
+            f"instant index {n} is too large: its aligned and opposed instants coincide")
     uc = line.center_velocity
     q = line.radius_vector
     omq = line.angular_velocity(q)

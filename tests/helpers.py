@@ -1,7 +1,16 @@
 """Shared helpers for the test suite."""
 import numpy as np
 
-from relkin import AbsoluteVelocity, FourVector, WorldLine, lorentz_dot, project_spatial
+from relkin import (
+    E1,
+    E2,
+    E3,
+    AbsoluteVelocity,
+    FourVector,
+    WorldLine,
+    lorentz_dot,
+    project_spatial,
+)
 
 
 def max_abs(arr) -> float:
@@ -30,6 +39,17 @@ def random_spacelike_unit(rng, u: AbsoluteVelocity) -> FourVector:
         n = x.norm()
         if n > 1e-6:
             return x / n
+
+
+def object_gram_schmidt(u: AbsoluteVelocity) -> list[FourVector]:
+    """orthonormal_spatial_frame as FourVector arithmetic: the oracle of its float kernel."""
+    frame = []
+    for e in (E1, E2, E3):
+        f = project_spatial(u, e)
+        for g in frame:
+            f = f - g * lorentz_dot(g, f)
+        frame.append(f / f.norm())
+    return frame
 
 
 def assert_orthogonal(u, x, tol=1e-12):

@@ -9,6 +9,7 @@ from relkin import (
     E0,
     E3,
     METRIC,
+    TOL,
     AbsoluteVelocity,
     Boost,
     ConstraintViolation,
@@ -18,15 +19,22 @@ from relkin import (
     coplanar,
     gamma_factor,
     lorentz_dot,
+    orthonormal_spatial_frame,
     relative_acceleration,
     relative_velocity,
     rotation_angle_axis,
     thomas_rotation_discrete,
 )
 
-from relkin.minkowski import _form_error
+from relkin.minkowski import _form_error, _mdot
 
-from helpers import max_abs, random_spacelike_unit, random_unit_vector, random_velocity
+from helpers import (
+    max_abs,
+    object_gram_schmidt,
+    random_spacelike_unit,
+    random_unit_vector,
+    random_velocity,
+)
 
 U_REST = AbsoluteVelocity.rest()
 U_06X = AbsoluteVelocity([1.25, 0.75, 0.0, 0.0])
@@ -409,6 +417,73 @@ class TestRotationKeepsItsFrame:
             r[0, 0] = 2.0
         expected = [[lorentz_dot(fi, rot(fj)) for fj in rot.frame] for fi in rot.frame]
         assert r.tobytes() == np.array(expected).tobytes()
+
+
+def object_restriction(rotation):
+    # the restriction as numpy scalars, from the object Gram-Schmidt: the oracle of the float kernel
+    frame = [f.components for f in object_gram_schmidt(rotation.u)]
+    cols = [rotation.matrix @ fj for fj in frame]
+    return np.array([[float(_mdot(fi, c)) for c in cols] for fi in frame])
+
+
+def object_angle_axis(rotation):
+    # rotation_angle_axis with the axis as a chain of FourVector products and sums: its oracle
+    frame, m = rotation.frame, rotation.restriction()
+    cos_t = min(1.0, max(-1.0, 0.5 * (float(np.trace(m)) - 1.0)))
+    w = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    wnorm = float(np.linalg.norm(w))
+    if 0.5 * wnorm < TOL.degenerate_angle and cos_t > 0.0:
+        return math.asin(min(0.5 * wnorm, 1.0)), None
+    if cos_t < -0.999:
+        b = 0.5 * (m + m.T) - cos_t * np.eye(3)
+        a = b[:, int(np.argmax(np.sum(b * b, axis=0)))]
+        a = a / np.linalg.norm(a)
+    else:
+        a = w / wnorm
+    a = -a if a[int(np.nonzero(np.abs(a) > 1e-9)[0][0])] < 0.0 else a
+    angle = math.atan2(0.5 * float(w @ a), cos_t)
+    return (math.pi if angle <= -math.pi else angle), (
+        frame[0] * a[0] + frame[1] * a[1] + frame[2] * a[2])
+
+
+class TestFloatKernelsMatchObjectOracles:
+    def chains(self, seed, n):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            vmax = rng.choice((0.5, 0.9, 0.99))
+            yield tuple(random_velocity(rng, vmax) for _ in range(3))
+
+    @staticmethod
+    def assert_same_angle_axis(rot):
+        (angle, axis), (want_angle, want_axis) = rotation_angle_axis(rot), object_angle_axis(rot)
+        assert angle == want_angle
+        assert axis.components.tobytes() == want_axis.components.tobytes()
+
+    def test_restriction(self):
+        for u, u1, u2 in self.chains(31, 400):
+            rot = thomas_rotation_discrete(u, u1, u2)
+            assert rot.restriction().tobytes() == object_restriction(rot).tobytes()
+
+    def test_angle_and_axis(self):
+        for u, u1, u2 in self.chains(32, 400):
+            rot = thomas_rotation_discrete(u, u1, u2)
+            self.assert_same_angle_axis(rot)
+
+    def test_angle_and_axis_near_half_turn(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            u = random_velocity(rng, 0.9)
+            a = rng.normal(size=3)
+            a /= np.linalg.norm(a)
+            theta = rng.uniform(math.pi - 0.05, math.pi)
+            k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+            r = (math.cos(theta) * np.eye(3) + math.sin(theta) * k
+                 + (1.0 - math.cos(theta)) * np.outer(a, a))
+            # fixes u and maps f_j to sum_i r_ij f_i: -u (G u)^T + sum_ij r_ij f_i (G f_j)^T
+            f = np.array([fi.components for fi in orthonormal_spatial_frame(u)])
+            m = -np.outer(u.components, METRIC @ u.components) + f.T @ r @ (f @ METRIC)
+            rot = SpatialRotation(m, u, tol=1e-10)
+            self.assert_same_angle_axis(rot)
 
 
 class TestCoplanar:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from relkin import (
     TOL,
@@ -20,7 +21,8 @@ from relkin import (
     lorentz_dot,
     transport_path,
 )
-from relkin.cli import MAX_POINTS, emit_csv, main, run_scenario, selftest
+from relkin import cli
+from relkin.cli import MAX_DEPTH, MAX_POINTS, emit_csv, main, run_scenario, selftest
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -249,6 +251,84 @@ class TestCliProcess:
 
 
 KIND_LIST = "['boost-compose', 'circular-thomas', 'precess', 'transport']"
+
+
+class TestScenarioParse:
+    """Every failure to read or parse a scenario file is one parse error line (exit 2)."""
+
+    @pytest.mark.parametrize("depth", [2000, 100_000])
+    @pytest.mark.parametrize("style", ["flow", "block"])
+    def test_deep_nesting_exits_2(self, style, depth, tmp_path):
+        # 100 000 levels overflow the C stack of libyaml's composer without the depth guard
+        nested = "[" * depth + "]" * depth if style == "flow" else "\n" + "- " * depth + "0.1"
+        scenario = tmp_path / "deep.yaml"
+        scenario.write_text(f"kind: boost-compose\nvelocity1: {nested}\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "relkin", "run", str(scenario), "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f'error code=2 kind=parse message="scenario nests deeper than {MAX_DEPTH} levels"']
+
+    def test_nesting_at_the_limit_is_read(self, tmp_path, capsys):
+        # the scenario mapping is level 1, so the vector may sit MAX_DEPTH - 1 lists deep
+        scenario = tmp_path / "s.yaml"
+        inner = MAX_DEPTH - 2
+        scenario.write_text("kind: boost-compose\nvelocity1: " + "[" * inner + "[0.1, 0, 0]"
+                            + "]" * inner + "\nvelocity2: [0, 0.1, 0]\n")
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        assert "field 'velocity1' must have exactly 3 components" in capsys.readouterr().err
+        scenario.write_text(scenario.read_text().replace("[" * inner, "[" * (inner + 1), 1)
+                            .replace("]" * inner, "]" * (inner + 1), 1))
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        assert "nests deeper than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "kind: boost-compose\nvelocity1: !!float\n",  # IndexError in the constructor
+        "kind: boost-compose\nvelocity1: !!int\n",
+        "kind: boost-compose\nvelocity1: !!timestamp 2024-13-45\n",
+        "kind: boost-compose\nvelocity1: !!binary '%'\n",
+        "kind: boost-compose\n? [a]\n: 1\n",  # an unhashable key
+    ])
+    def test_constructor_errors_are_one_parse_line(self, text, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(text)
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=2 kind=parse ")
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_bytes(b"kind: boost-compose\xff\n")
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=2 kind=parse ")
+        assert "is not UTF-8" in err[0]
+
+    def test_unknown_keys_of_mixed_types_are_listed(self, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text("kind: boost-compose\n1: x\nb: y\nnull: z\n")
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error code=2 kind=parse message=\"unknown scenario fields: [None, 1, 'b']\""]
+
+    def test_kind_built_from_aliases_is_one_parse_line(self, tmp_path, capsys):
+        # each alias adds a level without nesting the text, and each doubles the width
+        links = [f"a{i}: &a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, 2000)]
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text("\n".join(["a0: &a0 [1]", *links, "kind: *a1999"]) + "\n")
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=2 kind=parse ")
+
+
+def test_libyaml_loader_is_used_where_installed():
+    # the pure-Python loader is about five times slower; falling back to it silently fails here
+    if yaml.__with_libyaml__:
+        assert cli._LOADER is yaml.CSafeLoader
+    else:
+        assert cli._LOADER is yaml.SafeLoader
 
 
 class TestSchemaValidation:

@@ -2,8 +2,9 @@
 
 Each test starts from a valid scenario of one kind and replaces fields,
 nested world-line fields and vector components with hostile values, or
-leaves them out.  Every run must end in exit 0, 2, 3 or 4; a failure
-prints exactly one ``error code=`` line on stderr, and no run may warn.
+leaves them out, or splices YAML punctuation into its text.  Every run
+must end in exit 0, 2, 3 or 4; a failure prints exactly one
+``error code=`` line on stderr, and no run may warn.
 """
 import contextlib
 import copy
@@ -11,16 +12,21 @@ import functools
 import io
 import math
 import operator
+import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relkin import cli
 from relkin.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MISSING = object()  # the field is left out
 
@@ -77,9 +83,13 @@ def replaced(cfg: dict, path: tuple, value) -> dict:
 
 
 def check_contract(cfg: dict) -> None:
+    check_text(yaml.safe_dump(cfg))
+
+
+def check_text(text: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.yaml"
-        path.write_text(yaml.safe_dump(cfg))
+        path.write_text(text, encoding="utf-8")
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
@@ -113,3 +123,39 @@ def test_several_hostile_fields(data):
     for path in sorted(chosen, reverse=True):
         cfg = replaced(cfg, path, data.draw(st.sampled_from(VALUES)))
     check_contract(cfg)
+
+
+# YAML punctuation, tab, byte-order mark, NEL and line separator, a tag, an anchor and an alias
+TOKENS = [*"-?:,[]{}#&*!|>'\"%@`", " ", "\n", "\t", "\ufeff", "\x85", "\u2028", "!!float ",
+          "&a ", "*a", "0.5"]
+NO_LIBYAML = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                reason="PyYAML is built without libyaml")
+# the pure-Python loader, and libyaml's where PyYAML has it
+LOADERS = [pytest.param(yaml.SafeLoader, id="python"),
+           pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml", marks=NO_LIBYAML)]
+# each base in block and in flow style
+BASE_TEXTS = {f"{name}-{style}": yaml.safe_dump(cfg, default_flow_style=style == "flow")
+              for name, cfg in BASES.items() for style in ("block", "flow")}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_spliced_punctuation(loader, data):
+    text = data.draw(st.sampled_from(sorted(BASE_TEXTS.values())))
+    # words, runs of white space and single characters, of which up to three are replaced
+    pieces = re.findall(r"\w[\w.+-]*|\s+|.", text)
+    start = data.draw(st.integers(0, len(pieces)))
+    stop = data.draw(st.integers(start, min(len(pieces), start + 3)))
+    pieces[start:stop] = data.draw(st.lists(st.sampled_from(TOKENS), max_size=4))
+    with mock.patch.object(cli, "_LOADER", loader):
+        check_text("".join(pieces))
+
+
+@NO_LIBYAML
+@pytest.mark.parametrize("text", [
+    *(pytest.param(p.read_text(), id=p.name) for p in sorted(SCENARIOS.glob("*.yaml"))),
+    *(pytest.param(text, id=name) for name, text in BASE_TEXTS.items()),
+])
+def test_both_loaders_read_the_same_scenario(text):
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)

@@ -10,6 +10,7 @@ from relkin import (
     E2,
     E3,
     METRIC,
+    TOL,
     AbsoluteVelocity,
     ConstraintViolation,
     FourVector,
@@ -23,7 +24,7 @@ from relkin import (
 )
 from relkin.minkowski import _form_error, _lowered, _lowered_rows, _wedge, _wedge_rows
 
-from helpers import max_abs, random_vector, random_velocity
+from helpers import max_abs, object_gram_schmidt, random_vector, random_velocity
 
 
 class TestLorentzDot:
@@ -290,6 +291,36 @@ class TestOrthonormalSpatialFrame:
                 np.column_stack([u.components] + [f.components for f in frame])
             )
             assert det > 0.0
+
+    def test_frame_is_the_object_gram_schmidt_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        checked = 0
+        for k in range(3000):
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            if k % 3 == 0:
+                d[rng.integers(0, 3)] = -0.0  # on a coordinate plane, with a signed zero
+            speed = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0) if k % 2 else rng.uniform(0.0, 1.0)
+            try:
+                u = AbsoluteVelocity.from_3velocity(d * speed)
+            except ConstraintViolation:  # near c the square check rejects the velocity
+                continue
+            got = [f.components.tobytes() for f in orthonormal_spatial_frame(u)]
+            assert got == [f.components.tobytes() for f in object_gram_schmidt(u)]
+            checked += 1
+        assert checked > 2000
+
+    def test_degenerate_space_is_the_typed_error(self, monkeypatch):
+        # a tolerance loose enough to admit u = (1e8, 1e8, 0, 0), whose projected e1 has square 0
+        monkeypatch.setattr(TOL, "constraint", 10.0)
+        with pytest.raises(ConstraintViolation, match="degenerate"):
+            orthonormal_spatial_frame(AbsoluteVelocity([1e8, 1e8, 0.0, 0.0]))
+
+    def test_norm_checks_are_kept(self):
+        with pytest.raises(ConstraintViolation, match="timelike"):
+            FourVector([1.0, 0.5, 0.0, 0.0]).norm()
+        with pytest.raises(ConstraintViolation, match="FourVector.*overflows"):
+            FourVector([0.0, 1e200, 0.0, 0.0]).norm()
 
 
 class TestTypes:

@@ -631,10 +631,19 @@ class TestInitialFrameInstants:
         0, -1, np.int64(0), True, np.True_, 1.5, 2.0, "1", math.inf, math.nan,
         pytest.param(10**308, id="10**308"),  # the instants overflow to inf
         pytest.param(10**400, id="10**400"),  # the index overflows a float
+        # the odd instant rounds onto the even one
+        pytest.param(2**52, id="2**52"),
+        pytest.param(2**53, id="2**53"),
+        pytest.param(2**60, id="2**60"),
     ])
     def test_rejects_bad_index(self, n):
         with pytest.raises(ConstraintViolation):
             initial_frame_special_instants(standard_line(), n)
+
+    def test_largest_distinct_index_answers(self):
+        pair = initial_frame_special_instants(standard_line(), 2**51)
+        assert pair.odd.proper_time < pair.even.proper_time
+        assert pair.odd.frame_time < pair.even.frame_time
 
     def test_numpy_index_is_the_int_index(self):
         line = standard_line()
