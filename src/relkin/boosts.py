@@ -23,13 +23,11 @@ from .minkowski import (
     LorentzMap,
     _form_error,
     _lowered,
-    _lowered_rows,
     _mdot,
+    _rows,
     lorentz_dot,
     orthonormal_spatial_frame,
 )
-
-_EYE = np.eye(4)
 
 
 class Boost(LorentzMap):
@@ -98,12 +96,7 @@ def _boost_matrix(t, f, tol: float) -> np.ndarray:
     # future-directed velocities always satisfy u_to.u_from <= -1
     if not d < 0.0:
         raise ConstraintViolation(f"velocities must be future directed, got u_to.u_from = {d}")
-    s = [ti + fi for ti, fi in zip(t, f)]
-    gs, gf = _lowered(s), _lowered(f)
-    k = 1.0 - d
-    rows = [[((1.0 if i == j else 0.0) + si * gsj / k) - 2.0 * (ti * gfj)
-             for j, (gsj, gfj) in enumerate(zip(gs, gf))]
-            for i, (si, ti) in enumerate(zip(s, t))]
+    rows = _boost_entries(t, f, d)
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ConstraintViolation("map entries must be finite")
     m = np.array(rows)
@@ -116,18 +109,26 @@ def _boost_rows(t, f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """_boost_matrix of the velocity t with each row of f, all in one pass.
 
     Returns the [n, 4, 4] matrices and a mask of the rows that pass every
-    check of _boost_matrix.  The entries take its operations in its order;
-    the residuals are _require_boost's products as stacked ``np.matmul``,
-    whose slices are the same BLAS calls.  So an accepted row is the scalar
-    kernel's matrix bit for bit, and the mask is its verdict.
+    check of _boost_matrix.  The entries are _boost_entries on the columns
+    of f; the residuals are _require_boost's products as stacked
+    ``np.matmul``, whose slices are the same BLAS calls.  So an accepted row
+    is the scalar kernel's matrix bit for bit, and the mask is its verdict.
     """
     d = _mdot(t, f.T)
-    s = t + f
-    gs, gf = _lowered_rows(s), _lowered_rows(f)
-    k = (1.0 - d)[:, None, None]
-    m = (_EYE + s[:, :, None] * gs[:, None, :] / k) - 2.0 * (t[:, None] * gf[:, None, :])
+    m = _rows(_boost_entries(t, f.T, d))
     form, carry = _boost_residuals(m, t, f)
     return m, (d < 0.0) & np.isfinite(m).all(axis=(1, 2)) & (form <= tol) & (carry <= tol)
+
+
+def _boost_entries(t, f, d) -> list[list]:
+    # rows of eye + outer(s, G s) / (1 - d) - 2 outer(t, G f) with s = t + f and d = t.f, entry
+    # by entry as numpy forms them; t is four floats, f and d are floats or per-row arrays
+    s = [ti + fi for ti, fi in zip(t, f)]
+    gs, gf = _lowered(s), _lowered(f)
+    k = 1.0 - d
+    return [[((1.0 if i == j else 0.0) + si * gsj / k) - 2.0 * (ti * gfj)
+             for j, (gsj, gfj) in enumerate(zip(gs, gf))]
+            for i, (si, ti) in enumerate(zip(s, t))]
 
 
 def _boost_residuals(m: np.ndarray, t, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,16 +151,10 @@ def relative_velocity(u: AbsoluteVelocity, rdot: AbsoluteVelocity) -> FourVector
     return FourVector(_relative_velocity(u.components.tolist(), rdot.components.tolist()))
 
 
-def _relative_velocity(u, r) -> list[float]:
-    # rdot / g - u with g = -u.rdot, on 4-float velocities
+def _relative_velocity(u, r) -> list:
+    # rdot / g - u with g = -u.rdot, for a 4-float velocity u and four floats or [4, n] columns r
     g = -_mdot(u, r)
     return [ri / g - ui for ri, ui in zip(r, u)]
-
-
-def _relative_velocity_rows(u, r: np.ndarray) -> np.ndarray:
-    # _relative_velocity of u with each row of r
-    g = -_mdot(u, r.T)
-    return r / g[:, None] - u
 
 
 def relative_acceleration(
@@ -179,28 +174,30 @@ def relative_acceleration(
 
 
 def _relative_acceleration(u, r, a, tol: float) -> list[float]:
-    # (rddot + rdot (u.rddot / g)) / g^2 with g = -u.rdot, on 4-float vectors
+    # _acceleration_seen_by on 4-float vectors, once rdot.rddot passes its check
     ortho = _mdot(r, a)
     if not abs(ortho) <= tol * max(1.0, max(map(abs, a))):
         raise ConstraintViolation(
             f"acceleration must be orthogonal to velocity, got rdot.rddot = {ortho}"
         )
+    return _acceleration_seen_by(u, r, a)
+
+
+def _relative_acceleration_rows(u, r: np.ndarray, a: np.ndarray,
+                                tol: float) -> tuple[list, np.ndarray]:
+    # _relative_acceleration of u with each column pair of [4, n] columns r and a, and a mask
+    # of the rows whose orthogonality check passes (a NaN fails it, as in the scalar kernel)
+    ok = np.abs(_mdot(r, a)) <= tol * np.maximum(1.0, np.abs(a).max(axis=0))
+    return _acceleration_seen_by(u, r, a), ok
+
+
+def _acceleration_seen_by(u, r, a) -> list:
+    # (rddot + rdot (u.rddot / g)) / g^2 with g = -u.rdot, for a 4-float velocity u and
+    # four floats or [4, n] columns r and a
     g = -_mdot(u, r)
     k = _mdot(u, a) / g
     gg = g * g
     return [(ai + ri * k) / gg for ai, ri in zip(a, r)]
-
-
-def _relative_acceleration_rows(u, r: np.ndarray, a: np.ndarray,
-                                tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # _relative_acceleration of u with each row pair of r and a, and a mask of the
-    # rows whose orthogonality check passes (a NaN fails it, as in the scalar kernel)
-    ortho = _mdot(r.T, a.T)
-    ok = np.abs(ortho) <= tol * np.maximum(1.0, np.abs(a).max(axis=1))
-    g = -_mdot(u, r.T)
-    k = _mdot(u, a.T) / g
-    gg = g * g
-    return (a + r * k[:, None]) / gg[:, None], ok
 
 
 def thomas_rotation_discrete(

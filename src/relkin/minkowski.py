@@ -25,6 +25,11 @@ from .errors import ConstraintViolation
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 METRIC.setflags(write=False)
 
+#: decorates the public arithmetic whose overflow reaches a finiteness check, so the inf
+#: or NaN is rejected there without a numpy warning first; numpy's decorator form is
+#: reentrant, a ``with`` on this one instance is not
+_silent_overflow = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 class FourVector:
     """Spacetime vector, stored as four real components in the fixed basis."""
@@ -51,20 +56,24 @@ class FourVector:
         """
         return _norm(self.components.tolist(), type(self).__name__)
 
+    @_silent_overflow
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.components + other.components)
 
+    @_silent_overflow
     def __sub__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.components - other.components)
 
     def __neg__(self) -> "FourVector":
         return FourVector(-self.components)
 
+    @_silent_overflow
     def __mul__(self, scalar: float) -> "FourVector":
         return FourVector(self.components * float(scalar))
 
     __rmul__ = __mul__
 
+    @_silent_overflow
     def __truediv__(self, scalar: float) -> "FourVector":
         return FourVector(self.components / float(scalar))
 
@@ -137,31 +146,38 @@ class LorentzMap:
         m.setflags(write=False)
         self.matrix = m
 
+    @_silent_overflow
     def __call__(self, x: FourVector) -> FourVector:
         return FourVector(self.matrix @ x.components)
 
+    @_silent_overflow
     def __matmul__(self, other: "LorentzMap") -> "LorentzMap":
         return LorentzMap(self.matrix @ other.matrix)
 
+    @_silent_overflow
     def __add__(self, other: "LorentzMap") -> "LorentzMap":
         return LorentzMap(self.matrix + other.matrix)
 
+    @_silent_overflow
     def __sub__(self, other: "LorentzMap") -> "LorentzMap":
         return LorentzMap(self.matrix - other.matrix)
 
     def __neg__(self) -> "LorentzMap":
         return LorentzMap(-self.matrix)
 
+    @_silent_overflow
     def __mul__(self, scalar: float) -> "LorentzMap":
         return LorentzMap(self.matrix * float(scalar))
 
     __rmul__ = __mul__
 
+    @_silent_overflow
     def is_lorentz(self, tol: float | None = None) -> bool:
         """True when the map preserves the Lorentz form on the fixed basis."""
         tol = TOL.constraint if tol is None else tol
         return _form_error(self.matrix) <= tol
 
+    @_silent_overflow
     def is_antisymmetric(self, tol: float | None = None) -> bool:
         """True when (Ax).y = -x.(Ay) on the fixed basis."""
         tol = TOL.constraint if tol is None else tol
@@ -212,31 +228,23 @@ def wedge(x: FourVector, y: FourVector) -> LorentzMap:
     return LorentzMap(_wedge(x.components.tolist(), y.components.tolist()))
 
 
-def _lowered(x) -> tuple[float, float, float, float]:
-    # METRIC @ x for four floats; adding 0.0 signs its zeros as numpy's product does
+def _lowered(x) -> tuple:
+    # METRIC @ x for four floats, or four per-row arrays; adding 0.0 signs its zeros as
+    # numpy's product does
     return -x[0] + 0.0, x[1] + 0.0, x[2] + 0.0, x[3] + 0.0
 
 
-def _wedge(a, b, k: float = 1.0) -> np.ndarray:
-    # k (outer(a, G b) - outer(b, G a)) for four floats, entry by entry as numpy; k = 1.0 is exact
+def _wedge(a, b, k=1.0) -> list[list]:
+    # k (outer(a, G b) - outer(b, G a)) entry by entry as numpy forms it, as nested lists;
+    # a and b are four floats or [4, n] columns with n factors k; k = 1.0 is exact
     ga, gb = _lowered(a), _lowered(b)
-    return np.array([[(ai * gbj - bi * gaj) * k for gaj, gbj in zip(ga, gb)]
-                     for ai, bi in zip(a, b)])
+    return [[(ai * gbj - bi * gaj) * k for gaj, gbj in zip(ga, gb)] for ai, bi in zip(a, b)]
 
 
-#: diagonal of METRIC; x * _SIGNS + 0.0 is _lowered(x), bit for bit
-_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
-
-
-def _lowered_rows(x: np.ndarray) -> np.ndarray:
-    # _lowered of each row of an [n, 4] array
-    return x * _SIGNS + 0.0
-
-
-def _wedge_rows(a: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # _wedge of each row pair of [n, 4] arrays with the factors k, as an [n, 4, 4] array
-    ga, gb = _lowered_rows(a), _lowered_rows(b)
-    return (a[:, :, None] * gb[:, None, :] - b[:, :, None] * ga[:, None, :]) * k[:, None, None]
+def _rows(x) -> np.ndarray:
+    # the [n, ...] array of nested per-row arrays; contiguous, so that stacked np.matmul
+    # on it makes each single matrix's BLAS call, slice by slice
+    return np.ascontiguousarray(np.moveaxis(np.array(x), -1, 0))
 
 
 def exp_map(generator: LorentzMap, t: float = 1.0) -> LorentzMap:

@@ -22,7 +22,6 @@ from .boosts import (
     _relative_acceleration,
     _relative_acceleration_rows,
     _relative_velocity,
-    _relative_velocity_rows,
     boost,
 )
 from .config import TOL
@@ -32,8 +31,8 @@ from .minkowski import (
     FourVector,
     LorentzMap,
     _mdot,
+    _rows,
     _wedge,
-    _wedge_rows,
     lorentz_dot,
     orthonormal_spatial_frame,
     wedge,
@@ -69,7 +68,7 @@ def precession_rate(v: FourVector, a: FourVector) -> LorentzMap:
     return LorentzMap(_rate_matrix(v.components.tolist(), a.components.tolist(), TOL.constraint))
 
 
-def _rate_matrix(v, a, tol: float) -> np.ndarray:
+def _rate_matrix(v, a, tol: float) -> list[list[float]]:
     # precession_rate on 4-float relative velocity and acceleration
     v_sq = _mdot(v, v)
     if not v_sq >= -tol:
@@ -81,13 +80,14 @@ def _rate_matrix(v, a, tol: float) -> np.ndarray:
     return _wedge(v, a, gamma * gamma / (1.0 + gamma))
 
 
-def _rate_rows(v: np.ndarray, a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # _rate_matrix of each row pair of v and a, and a mask of the rows it accepts
-    # with finite entries; the sign of a clamped zero cannot change 1.0 - v_sq
-    v_sq = _mdot(v.T, v.T)
+def _rate_rows(v, a, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # _rate_matrix of each column pair of [4, n] columns v and a as an [n, 4, 4] array, and a
+    # mask of the rows it accepts with finite entries; the sign of a clamped zero cannot
+    # change 1.0 - v_sq
+    v_sq = _mdot(v, v)
     clamped = np.maximum(v_sq, 0.0)
     gamma = 1.0 / np.sqrt(1.0 - clamped)
-    rate = _wedge_rows(v, a, gamma * gamma / (1.0 + gamma))
+    rate = _rows(_wedge(v, a, gamma * gamma / (1.0 + gamma)))
     return rate, (v_sq >= -tol) & (clamped < 1.0) & np.isfinite(rate).all(axis=(1, 2))
 
 
@@ -127,10 +127,10 @@ def precession_series(
     rate built from the relative velocity and acceleration at that
     instant.  Interior samples also carry the centered difference of the
     observed vector, so the precession law can be checked against the
-    series itself.  One numpy pass observes every sample, taking each entry
-    through the operations of the public calls' float kernels in their
-    order, so each sample equals their composition bit for bit; where a
-    check fails, those kernels rerun on that sample and raise.
+    series itself.  One numpy pass observes every sample: the public calls'
+    float kernels run once, on arrays with one value per sample, so each
+    sample equals their composition bit for bit; where a check fails, the
+    kernels rerun on that sample's floats and raise.
     """
     ts = [float(t) for t in t_grid]
     if len(ts) < 2:
@@ -141,19 +141,19 @@ def precession_series(
     ss = [_invert_increasing(clock, t) for t in ts]
     states = transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
     kin = line._kinematics_block([state.s for state in states])
-    rdot, rddot, w, tol = kin[:, 0], kin[:, 1], u.components, TOL.constraint
+    rdot, rddot, w, tol = kin[:, 0], kin[:, 1], u.components.tolist(), TOL.constraint
     # an overflow becomes the inf or NaN that a check rejects
     with np.errstate(all="ignore"):
         m, ok = _boost_rows(w, rdot, tol)
         z = (m @ np.array([state.z.components for state in states])[:, :, None])[:, :, 0]
-        a, ok_a = _relative_acceleration_rows(w, rdot, rddot, tol)
-        rate, ok_rate = _rate_rows(_relative_velocity_rows(w, rdot), a, tol)
+        a, ok_a = _relative_acceleration_rows(w, rdot.T, rddot.T, tol)
+        rate, ok_rate = _rate_rows(_relative_velocity(w, rdot.T), a, tol)
         ok &= np.isfinite(z).all(axis=1) & ok_a & ok_rate
         inv_dt = 1.0 / np.subtract(ts[2:], ts[:-2])
         z_dot = (z[2:] - z[:-2]) * inv_dt[:, None]
         ok_dot = np.isfinite(inv_dt) & np.isfinite(z_dot).all(axis=1)
     if not (ok.all() and ok_dot.all()):
-        _raise_first_failure(w.tolist(), line, states, ts, z, ok, ok_dot, tol)
+        _raise_first_failure(w, line, states, ts, z, ok, ok_dot, tol)
     for block in (z, rate, z_dot):
         block.setflags(write=False)
     samples = [PrecessionSample(t, _vector(zk), _map(rk)) for t, zk, rk in zip(ts, z, rate)]

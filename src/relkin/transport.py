@@ -23,12 +23,13 @@ from .boosts import SpatialRotation
 from .config import TOL
 from .errors import ConstraintViolation, DriftViolation, VelocityMismatch
 from .minkowski import (
-    METRIC,
     FourVector,
     LorentzMap,
     _elliptic_exp,
     _form_error,
     _mdot,
+    _rows,
+    _wedge,
     wedge,
 )
 from .worldlines import CircularWorldLine, WorldLine, _finite_time
@@ -82,12 +83,11 @@ def _generators(k: np.ndarray) -> np.ndarray:
     """outer(rdot, G rddot) - outer(rddot, G rdot) for each row of a kinematics block.
 
     ``k`` is [n, (rdot, rddot), component], as ``WorldLine._kinematics_block``
-    returns it.  One stack of numpy calls serves every row; each entry is the
-    same product and difference that ``np.outer`` of the single pair computes.
+    returns it; the result is [n, 4, 4].  ``_wedge`` runs once on the block's
+    two columns, so each entry is the product and difference that ``np.outer``
+    of the single pair computes.
     """
-    g = k @ METRIC  # G rdot, G rddot (G is symmetric)
-    w = k[:, :, :, None] * g[:, ::-1, None, :]
-    return w[:, 0] - w[:, 1]
+    return _rows(_wedge(k[:, 0].T, k[:, 1].T))
 
 
 def _steps(s1: float, s2: float, step: float):

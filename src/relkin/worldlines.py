@@ -24,6 +24,7 @@ from .minkowski import (
     FourVector,
     LorentzMap,
     _mdot,
+    _rows,
     antisymmetric_magnitude,
     lorentz_dot,
     wedge,
@@ -243,9 +244,12 @@ class CircularWorldLine(WorldLine):
         return FourVector(self._kinematics_arrays(_finite_time(s))[1])
 
     def _kinematics_arrays(self, s: float):
-        # v = k + cos(phase) x + sin(phase) y and a = cos(phase) p + sin(phase) r per component
         ph = self._phase(s)
-        c, si = math.cos(ph), math.sin(ph)
+        return self._kinematics_of(math.cos(ph), math.sin(ph))
+
+    def _kinematics_of(self, c, si):
+        # v = k + c x + si y and a = c p + si r per component, for c = cos(phase) and
+        # si = sin(phase) as floats or per-row arrays
         (k0, x0, y0), (k1, x1, y1), (k2, x2, y2), (k3, x3, y3) = self._vel_terms
         (p0, r0), (p1, r1), (p2, r2), (p3, r3) = self._acc_terms
         return (
@@ -255,18 +259,13 @@ class CircularWorldLine(WorldLine):
         )
 
     def _kinematics_block(self, ss) -> np.ndarray:
-        # the sums of _kinematics_arrays on arrays, in its order; cos and sin stay libm's
+        # _kinematics_of on arrays of libm's cos and sin, one value per point
         if type(self)._kinematics_arrays is not CircularWorldLine._kinematics_arrays:
             return super()._kinematics_block(ss)  # a subclass's own scalar kinematics
         phases = [self._spin * s for s in ss]
-        c = np.array([math.cos(ph) for ph in phases])[:, None]
-        si = np.array([math.sin(ph) for ph in phases])[:, None]
-        k, x, y = np.array(self._vel_terms).T
-        p, r = np.array(self._acc_terms).T
-        out = np.empty((len(phases), 2, 4))
-        out[:, 0] = k + c * x + si * y
-        out[:, 1] = c * p + si * r
-        return out
+        c = np.array([math.cos(ph) for ph in phases])
+        si = np.array([math.sin(ph) for ph in phases])
+        return _rows(self._kinematics_of(c, si))
 
     def _frame_clock(self, u: AbsoluteVelocity):
         # t(s) = -u.(x(s) - x(0)) = A s + B (cos(phase) - 1) + C sin(phase), with A = lam (-u.u_c),

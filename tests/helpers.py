@@ -1,4 +1,6 @@
 """Shared helpers for the test suite."""
+import math
+
 import numpy as np
 
 from relkin import (
@@ -11,6 +13,7 @@ from relkin import (
     lorentz_dot,
     project_spatial,
 )
+from relkin.worldlines import _finite_time
 
 
 def max_abs(arr) -> float:
@@ -71,3 +74,37 @@ class DelegatingLine(WorldLine):
 
     def acceleration(self, s):
         return self.line.acceleration(s)
+
+
+class HyperbolicLine(WorldLine):
+    """Uniform proper acceleration ``a`` along e1: u(s) = cosh(a s) e0 + sinh(a s) e1.
+
+    Its velocity stays in the (e0, e1) plane, so Fermi-Walker transport from
+    s1 to s2 is the boost from u(s1) to u(s2): an exact oracle for the
+    numeric transport.  Kinematics are closed form, on floats.  Keep
+    |a s| <= 3: from about a s = 4.5 (gamma about 47) the velocity's square
+    misses -1 by more than ``TOL.constraint``.
+    """
+
+    default_step = 1e-3
+
+    def __init__(self, a: float = 1.0):
+        self.a = a
+
+    def _hyperbolic(self, s):
+        s = _finite_time(s)
+        return math.cosh(self.a * s), math.sinh(self.a * s)
+
+    def position(self, s):
+        ch, sh = self._hyperbolic(s)
+        return FourVector([sh / self.a, (ch - 1.0) / self.a, 0.0, 0.0])
+
+    def velocity(self, s):
+        return AbsoluteVelocity(self._kinematics_arrays(s)[0])
+
+    def acceleration(self, s):
+        return FourVector(self._kinematics_arrays(s)[1])
+
+    def _kinematics_arrays(self, s):
+        ch, sh = self._hyperbolic(s)
+        return (ch, sh, 0.0, 0.0), (self.a * sh, self.a * ch, 0.0, 0.0)

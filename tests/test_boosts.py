@@ -26,7 +26,7 @@ from relkin import (
     thomas_rotation_discrete,
 )
 
-from relkin.minkowski import _form_error, _mdot
+from relkin.minkowski import _form_error, _mdot, _rows
 
 from helpers import (
     max_abs,
@@ -195,7 +195,7 @@ def scalar_verdict(kernel, *args):
 
 
 class TestRowKernels:
-    """The block twins of the boost kernels give their bytes and their verdicts."""
+    """The boost kernels on per-row arrays give their bytes and their verdicts on floats."""
 
     def velocity_rows(self, rng, n):
         # checked velocities up to speed 0.999, then rows that fail one check each
@@ -253,8 +253,9 @@ class TestRowKernels:
                   [0.0, 1e-12, 0.0, 0.0]]
             r, a = np.array(r), np.array(a)
             with np.errstate(all="ignore"):
-                v = boosts._relative_velocity_rows(u, r)
-                acc, ok = boosts._relative_acceleration_rows(u, r, a, 1e-12)
+                v = _rows(boosts._relative_velocity(u.tolist(), r.T))
+                acc, ok = boosts._relative_acceleration_rows(u.tolist(), r.T, a.T, 1e-12)
+                acc = _rows(acc)
             expected_v = [boosts._relative_velocity(u.tolist(), row) for row in r.tolist()]
             assert v.tobytes() == np.array(expected_v).tobytes()
             for k in range(len(r)):

@@ -665,6 +665,35 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_every_private_name_is_used():
+    # a private module-level function or constant, or a private method, of src/relkin that
+    # no code in src/ loads is dead, a left-behind twin say; an import alone does not count
+    def is_private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((REPO / "src" / "relkin").glob("*.py"))]
+    defined, loaded = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined |= {item.name for item in node.body
+                            if isinstance(item, ast.FunctionDef) and is_private(item.name)}
+            elif isinstance(node, ast.FunctionDef) and is_private(node.name):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name) and is_private(n.id)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert len(defined) > 50  # the walk found the definitions
+    assert sorted(defined - loaded) == []
+
+
 def test_selftest_checks_under_optimize():
     # a wrong closed form must still be caught when asserts are stripped
     broken = subprocess.run(

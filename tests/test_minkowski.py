@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from relkin import (
     project_spatial,
     wedge,
 )
-from relkin.minkowski import _form_error, _lowered, _lowered_rows, _wedge, _wedge_rows
+from relkin.minkowski import _form_error, _lowered, _rows, _wedge
 
 from helpers import max_abs, object_gram_schmidt, random_vector, random_velocity
 
@@ -120,7 +121,7 @@ class TestWedge:
 
 
 class TestRowKernels:
-    """The [n, 4] twins of _lowered and _wedge give the scalar kernels' bytes."""
+    """_lowered and _wedge on [4, n] columns give their bytes on each row's floats."""
 
     VALUES = (0.0, -0.0, 1.5, -2.5)
 
@@ -128,7 +129,7 @@ class TestRowKernels:
         # all 256 patterns, so signed zeros are compared too
         rows = np.array(list(itertools.product(self.VALUES, repeat=4)))
         expected = np.array([_lowered(tuple(r)) for r in rows.tolist()])
-        assert _lowered_rows(rows).tobytes() == expected.tobytes()
+        assert _rows(_lowered(rows.T)).tobytes() == expected.tobytes()
 
     def test_wedge_rows(self):
         rng = np.random.default_rng(14)
@@ -137,7 +138,7 @@ class TestRowKernels:
         b = np.array([patterns[i] for i in rng.integers(0, 256, size=300)] + [*rng.normal(size=(50, 4))])
         k = np.concatenate([np.ones(150), rng.uniform(0.1, 3.0, size=200)])
         expected = np.array([_wedge(x, y, c) for x, y, c in zip(a.tolist(), b.tolist(), k.tolist())])
-        assert _wedge_rows(a, b, k).tobytes() == expected.tobytes()
+        assert _rows(_wedge(a.T, b.T, k)).tobytes() == expected.tobytes()
 
 
 class TestExpMap:
@@ -323,6 +324,35 @@ class TestOrthonormalSpatialFrame:
             FourVector([0.0, 1e200, 0.0, 0.0]).norm()
 
 
+def _big_vector(x0=1e308):
+    return FourVector([x0, 0.0, 0.0, 0.0])
+
+
+def _big_map(scale):
+    return LorentzMap(np.eye(4) * scale)
+
+
+# each overflows, divides by zero or forms inf - inf in numpy, and the result's
+# finiteness check answers
+OVERFLOWING_ARITHMETIC = {
+    "vector-over-zero": lambda: FourVector([1.0, 0.0, 0.0, 0.0]) / 0.0,
+    "vector-times-scalar": lambda: _big_vector() * 10.0,
+    "scalar-times-vector": lambda: 10.0 * _big_vector(),
+    "vector-plus-vector": lambda: _big_vector() + _big_vector(),
+    "vector-minus-vector": lambda: _big_vector() - _big_vector(-1e308),
+    "map-times-scalar": lambda: _big_map(1e308) * 10.0,
+    "map-matmul-map": lambda: _big_map(1e200) @ _big_map(1e200),
+    "map-of-vector": lambda: _big_map(1e200)(_big_vector(1e200)),
+    "map-plus-map": lambda: _big_map(1e308) + _big_map(1e308),
+    "map-minus-map": lambda: _big_map(1e308) - _big_map(-1e308),
+}
+
+OVERFLOWING_PREDICATES = {
+    "is-antisymmetric": lambda: _big_map(1e308).is_antisymmetric(),
+    "is-lorentz": lambda: _big_map(1e200).is_lorentz(),
+}
+
+
 class TestTypes:
     def test_four_vector_rejects_non_finite(self):
         with pytest.raises(ConstraintViolation):
@@ -343,6 +373,19 @@ class TestTypes:
         m[index, 3 - index] = bad
         with pytest.raises(ConstraintViolation, match="finite"):
             LorentzMap(m)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_ARITHMETIC))
+    def test_overflowing_arithmetic_is_a_constraint_violation(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ConstraintViolation, match="must be finite"):
+                OVERFLOWING_ARITHMETIC[case]()
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_PREDICATES))
+    def test_overflowing_predicate_is_false(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert OVERFLOWING_PREDICATES[case]() is False
 
     def test_velocity_invariants(self):
         with pytest.raises(ConstraintViolation):

@@ -37,12 +37,14 @@ from relkin import (
     wedge,
 )
 
+import relkin.boosts as boosts_module
 import relkin.precession as precession_module
 from relkin.boosts import _boost_matrix, _relative_acceleration, _relative_velocity
 from relkin.precession import PrecessionSample, _rate_matrix
 from relkin.transport import GyroState
 from relkin.worldlines import _invert_increasing
-from helpers import DelegatingLine, max_abs, random_spacelike_unit, random_velocity
+from helpers import (DelegatingLine, HyperbolicLine, max_abs, random_spacelike_unit,
+                     random_velocity)
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -466,6 +468,17 @@ class TestBlockObservation:
                                       orbit_grid(line.line, EXPLICIT, n_points),
                                       line.line.proper_period / 2000)
 
+    @pytest.mark.parametrize("u, s_max", [(AbsoluteVelocity.rest(), 2.0), (EXPLICIT, 1.0)],
+                             ids=["rest", "explicit"])
+    def test_hyperbolic_line(self, u, s_max):
+        # the base class's stacked _kinematics_block feeds the column kernels; the
+        # inversion's first guess s = t stays where the velocity passes its check
+        line = HyperbolicLine(1.0)
+        t_max = frame_time_of_proper_time(u, line, s_max)
+        for n_points in (2, 3, 200):
+            assert_matches_the_oracle(u, line, FourVector([0.0, 0.2, -0.5, 0.8]),
+                                      np.linspace(0.0, t_max, n_points))
+
     @pytest.mark.parametrize("case", sorted(FAILING_SERIES))
     def test_raises_what_the_oracle_raises(self, case, monkeypatch):
         w, grid, rigged, zs, message = FAILING_SERIES[case]
@@ -512,22 +525,31 @@ class TestBlockObservation:
         assert raised(precession_series, u, line, z0, grid, step=step) == expected
 
     def test_scalar_kernels_run_only_to_raise(self, monkeypatch):
+        # each formula runs once, on [4, n] columns; a float kernel runs only in the replay
+        u, line, z0, grid, step = observed_orbit(0.9, "explicit", True, seed=9)
         calls = []
 
-        def spy(name):
-            kernel = getattr(precession_module, name)
-            return lambda *args: calls.append(name) or kernel(*args)
+        def spy(module, name):
+            kernel = getattr(module, name)
+            # the kernel's name, and 2 when its second argument is columns, 1 when four floats
+            monkeypatch.setattr(module, name, lambda *args: calls.append(
+                (name, np.ndim(args[1]))) or kernel(*args))
 
-        for name in ("_boost_matrix", "_relative_velocity", "_relative_acceleration", "_rate_matrix"):
-            monkeypatch.setattr(precession_module, name, spy(name))
-        u, line, z0, grid, step = observed_orbit(0.9, "explicit", True, seed=9)
+        for name in ("_boost_matrix", "_relative_velocity", "_relative_acceleration",
+                     "_rate_matrix", "_wedge"):
+            spy(precession_module, name)
+        for name in ("_boost_entries", "_acceleration_seen_by"):
+            spy(boosts_module, name)
+        on_columns = [("_boost_entries", 2), ("_acceleration_seen_by", 2),
+                      ("_relative_velocity", 2), ("_wedge", 2)]
         precession_series(u, line, z0, grid, step=step)
-        assert calls == []
+        assert calls == on_columns
+        calls.clear()
         transport_gives(monkeypatch, [X4] * 4)
         rigged = RiggedLine({2.0: ((-1.0, 0.0, 0.0, 0.0), ZERO4)})
         with pytest.raises(ConstraintViolation, match="future directed"):
             precession_series(AbsoluteVelocity.rest(), rigged, X, [0.0, 1.0, 2.0, 3.0])
-        assert calls == ["_boost_matrix"]
+        assert calls == on_columns + [("_boost_matrix", 1)]
 
     def test_rate_rows_are_the_scalar_rates(self):
         rng = np.random.default_rng(71)
@@ -542,7 +564,7 @@ class TestBlockObservation:
         a += [np.ones(4), np.ones(4), np.ones(4), np.ones(4), np.ones(4), [0.0, 0.0, 1e308, 0.0]]
         v, a = np.array(v), np.array(a)
         with np.errstate(all="ignore"):
-            rate, ok = precession_module._rate_rows(v, a, 1e-12)
+            rate, ok = precession_module._rate_rows(v.T, a.T, 1e-12)
         for k in range(len(v)):
             try:
                 expected = LorentzMap(precession_module._rate_matrix(

@@ -38,7 +38,8 @@ from relkin import (
 
 from relkin.transport import _BLOCK, MAX_STEPS, _generators, _rk4_operator, _steps
 
-from helpers import DelegatingLine, max_abs, random_spacelike_unit, random_velocity
+from helpers import (DelegatingLine, HyperbolicLine, max_abs, random_spacelike_unit,
+                     random_velocity)
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -561,6 +562,31 @@ class TestTransportOperator:
         gen = circular_transport_generator(line)
         expected = exp_map(gen, -line.center_period)
         assert max_abs(op.matrix - expected.matrix) < 1e-7
+
+
+class TestHyperbolicOracle:
+    """Along uniform acceleration in one plane, transport is the boost between the
+    endpoint velocities: an exact oracle beside the circular one."""
+
+    SPANS = [(0.0, 0.5), (0.0, 1.5), (0.0, 3.0), (0.7, 3.0), (3.0, 0.5)]
+
+    @pytest.mark.parametrize("s1, s2", SPANS)
+    def test_vector_is_the_boost(self, s1, s2):
+        line = HyperbolicLine(1.0)
+        carry = boost(line.velocity(s2), line.velocity(s1))
+        for z in (FourVector([0.0, 1.0, 0.3, -0.4]), FourVector([0.0, 0.0, 0.6, 0.8])):
+            z1 = project_spatial(line.velocity(s1), z)
+            got = transport_numeric(line, z1, s1, s2).z.components
+            expected = carry(z1).components
+            # at step 1e-3 the error is 5e-15 of the scale at s = 0.5 and 2e-13 at s = 3
+            assert max_abs(got - expected) <= 1e-12 * max_abs(expected)
+
+    @pytest.mark.parametrize("s1, s2", SPANS)
+    def test_operator_is_the_boost(self, s1, s2):
+        line = HyperbolicLine(1.0)
+        expected = boost(line.velocity(s2), line.velocity(s1)).matrix
+        got = transport_operator_numeric(line, s1, s2).matrix
+        assert max_abs(got - expected) <= 1e-12 * max_abs(expected)
 
 
 class TestCircularGenerator:
