@@ -425,6 +425,26 @@ def selftest() -> int:
         err = np.max(np.abs(numeric.z.components - exact.components))
         expect(err < 1e-6, f"numeric transport is {err} off the exact one")
 
+    def default_step_target():
+        # one period at the default step h against the exact transport: the
+        # discretisation error, read by the fourth-order law from the error at 4 h,
+        # meets the step's target, and rounding adds at most eps per step
+        from .transport import transport_circular_exact, transport_numeric
+        from .worldlines import _STEP_TARGET
+
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        for speed in (0.6, 0.9):
+            line = CircularWorldLine.from_plane(speed, 1.0)
+            period, h = line.proper_period, line.default_step
+            exact = transport_circular_exact(line, z0, line.lorentz_factor * period)
+            scale = float(np.max(np.abs(line.initial_velocity.components))) ** 2
+            for factor, target in ((4.0, 4.0 ** 4 * _STEP_TARGET),
+                                   (1.0, _STEP_TARGET + period / h * np.finfo(float).eps)):
+                z = transport_numeric(line, z0, 0.0, period, step=factor * h).z
+                err = float(np.max(np.abs(z.components - exact.components)))
+                expect(err <= target * scale,
+                       f"step {factor} x default is {err} off the exact transport at speed {speed}")
+
     def central_rate():
         from .precession import central_frame_precession
 
@@ -451,6 +471,7 @@ def selftest() -> int:
     check("boost algebra", boost_algebra)
     check("coplanar chain is identity", coplanar_identity)
     check("numeric vs exact circular transport", circular_consistency)
+    check("default step meets its error target", default_step_target)
     check("central-frame precession rate", central_rate)
     check("initial-frame time round trip", time_round_trip)
     check("thomas angle extraction", thomas_angles)

@@ -135,7 +135,9 @@ def _rk4_vector(line: WorldLine, z: tuple, s1: float, s2: float, step: float,
         v_lo, a_lo = v_hi, a_hi
         w0, w1, w2, w3 = v_hi
         ortho = abs(-w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3)
-        mag = abs(math.sqrt(-y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3) - norm0)
+        sq = -y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
+        # a timelike (or NaN) z has no magnitude: a NaN drift, which fails the check
+        mag = abs(math.sqrt(sq) - norm0) if sq >= 0.0 else math.nan
         if not (ortho <= tol and mag <= tol):
             raise DriftViolation(
                 f"transport drift at s = {s + h}: velocity.z = {ortho}, |z| drift = {mag} "
@@ -195,8 +197,10 @@ def transport_numeric(
     """Transport ``z0`` from proper time ``s1`` to ``s2`` by fixed-step RK4.
 
     ``z0`` must be orthogonal to the velocity at ``s1``.  The default step
-    is the line's ``default_step`` (period / 10 000 on circular lines, one
-    exact step on inertial ones); global error is fourth order in the step.
+    is the line's ``default_step`` (on circular lines the step whose
+    one-period error meets an error target at the line's speed, see
+    ``CircularWorldLine``; one exact step on inertial ones); global error is
+    fourth order in the step.
     """
     return transport_path(line, z0, [s2], s_start=s1, step=step)[0]
 

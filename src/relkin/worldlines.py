@@ -31,6 +31,16 @@ from .minkowski import (
 )
 
 
+#: Discretisation-error target of the circular line's default RK4 step, relative to
+#: |u0|^2 (see ``CircularWorldLine``)
+_STEP_TARGET = 1e-13
+#: Fitted bound of that relative error times N^4, over v^2 gamma^6: the largest
+#: measured ratio is 34, at orbital speeds 0.01-0.9999 with the centre at rest or moving
+_STEP_FIT = 40.0
+#: Fewest default RK4 steps per proper period; it sets the step below speed 3e-3
+_MIN_STEPS = 256
+
+
 def _finite_time(s, name: str = "proper time") -> float:
     # the time as a float; an infinity or NaN is a ConstraintViolation that names it
     s = float(s)
@@ -73,11 +83,14 @@ class WorldLine(abc.ABC):
     def _frame_clock(self, u: AbsoluteVelocity):
         """(forward, slope) in floats: the time frame ``u`` assigns to the point at
         proper time s (zero at s = 0) and its rate -u.velocity(s).  Generic:
-        built on the object methods; closed-form lines override it."""
+        forward is built on ``position``, the slope reads the unchecked
+        ``_kinematics_arrays``, so a Newton guess that overshoots does not
+        raise; closed-form lines override it."""
         x0 = self.position(0.0)
+        w, kin = u.components.tolist(), self._kinematics_arrays
         return (
             lambda s: -lorentz_dot(u, self.position(s) - x0),
-            lambda s: -lorentz_dot(u, self.velocity(s)),
+            lambda s: -_mdot(w, kin(s)[0]),
         )
 
 
@@ -130,6 +143,13 @@ class CircularWorldLine(WorldLine):
 
     The orbital speed (rate times radius) must stay below 1; construction
     rejects anything invalid instead of repairing it.
+
+    ``default_step`` is the proper period over N = max(256, ceil((40 v^2
+    gamma^6 / 1e-13)^(1/4))) steps at orbital speed v.  RK4's error over one
+    period, the largest entry of the operator against the exact one, is at
+    most 40 v^2 gamma^6 |u0|^2 / N^4 (a fit), so it stays within 1e-13 |u0|^2,
+    with |u0| the initial velocity's largest component.  Rounding adds about
+    0.2 N eps |u0|^2, which no step lowers; from speed 0.6 on it is larger.
     """
 
     def __init__(
@@ -181,10 +201,12 @@ class CircularWorldLine(WorldLine):
         self.initial_velocity = AbsoluteVelocity(self.lorentz_factor * (uc + om @ q))
         self.proper_period = 2.0 * math.pi / (rate * self.lorentz_factor)
         self.center_period = 2.0 * math.pi / rate
-        self.default_step = self.proper_period / 10_000
+        # N = (C(v) / target)^(1/4) steps per period: RK4's error is C(v) / N^4
+        lam = self.lorentz_factor
+        n = math.ceil((_STEP_FIT * speed * speed * lam ** 6 / _STEP_TARGET) ** 0.25)
+        self.default_step = self.proper_period / max(_MIN_STEPS, n)
 
         # cached coefficients of the closed-form position and kinematics
-        lam = self.lorentz_factor
         omq = om @ q
         self._q = q
         self._omq_over_rate = omq / rate

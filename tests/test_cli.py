@@ -56,6 +56,14 @@ COARSE_CIRCULAR_TRANSPORT = (
     "gyro: [1.0, 0.0, 0.0]\n"
     "s_min: 0.0\ns_max: 4.18879\nn_points: 3\nstep: 0.0837758\n"
 )
+# at speed 0.82 one RK4 step over about two orbits turns the needle timelike:
+# its square goes negative before the drift check
+TIMELIKE_TRANSPORT = (
+    "kind: transport\n"
+    "worldline: {type: circular, omega: 0.824245022861334, rho: 1.0}\n"
+    "gyro: [0.017693429288338655, -0.9954456797894932, -0.0936741220853041]\n"
+    "s_min: 0\ns_max: 12.94911807546774\nn_points: 2\nstep: 9.10453044118172\n"
+)
 
 
 def parse_report(path: Path) -> dict:
@@ -439,6 +447,14 @@ class TestSchemaValidation:
 
 
 class TestStepAndTolerance:
+    def test_timelike_needle_is_one_drift_line(self, tmp_path, capsys):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(TIMELIKE_TRANSPORT)
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=4 kind=drift")
+        assert "|z| drift = nan" in err[0]
+
     @pytest.mark.parametrize(
         "flags,field",
         [
@@ -705,6 +721,19 @@ def test_selftest_checks_under_optimize():
     )
     assert broken.returncode == 1
     assert "FAIL thomas angle extraction" in broken.stdout
+
+
+def test_selftest_catches_a_coarse_default_step():
+    # a step fit 100x too small leaves the one-period error 100x over the target
+    broken = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import relkin.cli as c, relkin.worldlines as w; w._STEP_FIT = 0.4; "
+         "raise SystemExit(c.selftest())"],
+        capture_output=True, text=True,
+    )
+    assert broken.returncode == 1
+    assert broken.stdout.count("FAIL") == 1
+    assert "FAIL default step meets its error target" in broken.stdout
 
 
 def test_optimized_module_selftest_exits_0():

@@ -468,11 +468,12 @@ class TestBlockObservation:
                                       orbit_grid(line.line, EXPLICIT, n_points),
                                       line.line.proper_period / 2000)
 
-    @pytest.mark.parametrize("u, s_max", [(AbsoluteVelocity.rest(), 2.0), (EXPLICIT, 1.0)],
+    @pytest.mark.parametrize("u, s_max", [(AbsoluteVelocity.rest(), 3.0), (EXPLICIT, 1.0)],
                              ids=["rest", "explicit"])
     def test_hyperbolic_line(self, u, s_max):
-        # the base class's stacked _kinematics_block feeds the column kernels; the
-        # inversion's first guess s = t stays where the velocity passes its check
+        # the base class's stacked _kinematics_block feeds the column kernels; from
+        # rest the inversion's first guess s = t = sinh(3) lands at gamma about 11 000,
+        # where velocity(t) fails its check and the generic clock's slope does not
         line = HyperbolicLine(1.0)
         t_max = frame_time_of_proper_time(u, line, s_max)
         for n_points in (2, 3, 200):

@@ -37,6 +37,7 @@ from relkin import (
 )
 
 from relkin.transport import _BLOCK, MAX_STEPS, _generators, _rk4_operator, _steps
+from relkin.worldlines import _STEP_TARGET
 
 from helpers import (DelegatingLine, HyperbolicLine, max_abs, random_spacelike_unit,
                      random_velocity)
@@ -215,7 +216,8 @@ def numpy_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
             s += h
             f_lo = f_hi
             ortho = abs(_mdot(f_hi[0], y))
-            mag = abs(math.sqrt(_mdot(y, y)) - norm0)
+            sq = _mdot(y, y)
+            mag = abs(math.sqrt(sq) - norm0) if sq >= 0.0 else math.nan
             if not (ortho <= tol and mag <= tol):
                 raise DriftViolation(
                     f"transport drift at s = {s}: velocity.z = {ortho}, |z| drift = {mag} "
@@ -252,6 +254,18 @@ def _seeded_orbit(rng, boosted):
 
 class TestFloatLoopBitIdentity:
     """transport_path equals the numpy vector RK4 with exact ==, drift messages included."""
+
+    def test_timelike_needle_is_a_drift(self):
+        # at speed 0.82 one step over about two orbits turns the needle timelike: a
+        # DriftViolation, where the square root of its negative square raised ValueError
+        line = CircularWorldLine.from_plane(0.824245022861334, 1.0)
+        g = FourVector([0.0, 0.017693429288338655, -0.9954456797894932, -0.0936741220853041])
+        z0 = boost(line.velocity(0.0), AbsoluteVelocity.rest())(g)
+        with pytest.raises(DriftViolation, match=r"\|z\| drift = nan") as got:
+            transport_numeric(line, z0, 0.0, 12.94911807546774, step=9.10453044118172)
+        with pytest.raises(DriftViolation) as expected:
+            numpy_reference_path(line, z0, [12.94911807546774], step=9.10453044118172)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("step_kind", ["explicit", "default"])
@@ -293,13 +307,26 @@ class TestFloatLoopBitIdentity:
 class TestLineDefaultStep:
     """The default step is the line's own default_step, resolved once per call."""
 
-    def test_circular_default_is_a_ten_thousandth_of_the_period(self):
+    @pytest.mark.parametrize("speed, steps", [
+        (1e-4, 256), (1e-3, 256), (3e-3, 256), (0.1, 1425), (0.6, 4842), (0.9, 14743),
+        (0.99, 83984), (0.999, 472812),
+    ])
+    def test_circular_default_steps_follow_the_error_target(self, speed, steps):
+        # N = max(256, ceil((40 v^2 gamma^6 / 1e-13)^(1/4))) steps per proper period,
+        # whatever the radius and the centre's motion
+        for line in (standard_line(speed, 1.0),
+                     CircularWorldLine.from_plane(speed / 2.5, 2.5, center_velocity=(
+                         AbsoluteVelocity.from_3velocity([0.3, 0.0, 0.4])))):
+            assert line.proper_period / line.default_step == pytest.approx(steps, abs=1e-6)
+        gamma = 1.0 / math.sqrt(1.0 - speed * speed)
+        assert steps == max(256, math.ceil((40.0 * speed**2 * gamma**6 / 1e-13) ** 0.25))
+
+    def test_circular_default_equals_explicit_step(self):
         line = standard_line(0.9, 1.0)
-        assert line.default_step == line.proper_period / 10_000
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
         points = np.linspace(0.0, 0.3 * line.proper_period, 7)
         default = transport_path(line, z0, points)
-        explicit = transport_path(line, z0, points, step=line.proper_period / 10_000)
+        explicit = transport_path(line, z0, points, step=line.proper_period / 14743)
         assert [s.z.components.tobytes() for s in default] == \
             [s.z.components.tobytes() for s in explicit]
 
@@ -338,6 +365,48 @@ class TestLineDefaultStep:
             transport_numeric(line, z0, 0.0, 3.0 * line.proper_period)
 
 
+class TestDefaultStepCalibration:
+    """The circular default step meets its error target, centre at rest or moving.
+
+    The target bounds RK4's discretisation error of one period's operator,
+    largest entry against ``thomas_rotation_circular``, relative to |u0|^2.
+    At 4x the default step that error is 4^4 times larger and rounding is
+    small beside it, so the fourth-order law reads the default step's
+    discretisation error from there.  Rounding at the default step itself
+    grows with the step count: below speed 0.3 it stays under the target,
+    above it adds up to N eps |u0|^2.
+    """
+
+    CENTRES = {"rest": None, "moving": AbsoluteVelocity.from_3velocity([0.3, 0.0, 0.4])}
+
+    @staticmethod
+    def error_and_scale(speed, centre, step_factor):
+        line = CircularWorldLine.from_plane(
+            speed, 1.0, center_velocity=TestDefaultStepCalibration.CENTRES[centre])
+        period = line.proper_period
+        m = _rk4_operator(line, np.eye(4), 0.0, period, step_factor * line.default_step)
+        err = max_abs(m - thomas_rotation_circular(line).matrix)
+        return err, max_abs(line.initial_velocity.components) ** 2, period / line.default_step
+
+    @pytest.mark.parametrize("centre", sorted(CENTRES))
+    @pytest.mark.parametrize("speed", [0.05, 0.3, 0.6, 0.8, 0.9, 0.95, 0.99])
+    def test_discretisation_error_meets_the_target(self, speed, centre):
+        err, scale, _ = self.error_and_scale(speed, centre, 4.0)
+        assert err / 4.0**4 <= _STEP_TARGET * scale
+
+    @pytest.mark.parametrize("centre", sorted(CENTRES))
+    @pytest.mark.parametrize("speed", [1e-5, 1e-3, 0.05, 0.3])  # 256 steps up to 3e-3
+    def test_error_at_the_default_step_meets_the_target(self, speed, centre):
+        err, scale, _ = self.error_and_scale(speed, centre, 1.0)
+        assert err <= _STEP_TARGET * scale
+
+    @pytest.mark.parametrize("centre", sorted(CENTRES))
+    @pytest.mark.parametrize("speed", [0.6, 0.9])
+    def test_rounding_at_the_default_step_stays_under_a_unit_per_step(self, speed, centre):
+        err, scale, steps = self.error_and_scale(speed, centre, 1.0)
+        assert err <= (_STEP_TARGET + steps * np.finfo(float).eps) * scale
+
+
 class TestStepBudget:
     def test_tiny_explicit_step_is_refused_at_once(self):
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
@@ -349,9 +418,11 @@ class TestStepBudget:
     def test_default_step_over_a_long_span_is_refused(self):
         line = standard_line()
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
-        # the default P/10 000 over 20 000 periods is 2e8 steps
+        # twice the budget at whatever default step the line sets
+        start = time.perf_counter()
         with pytest.raises(ConstraintViolation, match="more than the limit"):
-            transport_numeric(line, z0, 0.0, 20_000 * line.proper_period)
+            transport_numeric(line, z0, 0.0, 2 * MAX_STEPS * line.default_step)
+        assert time.perf_counter() - start < 1.0
 
     @staticmethod
     def refusing_line():

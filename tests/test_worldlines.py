@@ -31,7 +31,7 @@ from relkin import (
     wedge,
 )
 
-from helpers import max_abs, random_spacelike_unit, random_velocity
+from helpers import HyperbolicLine, max_abs, random_spacelike_unit, random_velocity
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -382,6 +382,17 @@ class TestFrameClock:
                 t = frame_time_of_proper_time(u, generic, s)
                 assert abs(proper_time_of_frame_time(u, generic, t) - s) < 1e-10
                 assert abs(proper_time_of_frame_time(u, line, t) - s) < 1e-10
+
+    @pytest.mark.parametrize("s", [2.5, 3.0])
+    def test_generic_clock_inverts_past_the_velocity_check(self, s):
+        # from rest t = sinh(s); Newton's guess s = t has gamma = cosh(t), 212 and
+        # 11 000, where velocity(t) fails its square check but the slope reads the
+        # unchecked kinematics
+        line = HyperbolicLine(1.0)
+        with pytest.raises(ConstraintViolation, match="must square to -1"):
+            line.velocity(math.sinh(s))
+        got = proper_time_of_frame_time(AbsoluteVelocity.rest(), line, math.sinh(s))
+        assert abs(got - s) < 1e-12
 
     def test_forward_and_inverse_read_one_clock(self):
         rng = np.random.default_rng(73)
