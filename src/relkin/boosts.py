@@ -17,13 +17,14 @@ import numpy as np
 from .config import TOL
 from .errors import ConstraintViolation
 from .minkowski import (
-    METRIC,
     AbsoluteVelocity,
     FourVector,
     LorentzMap,
+    _carry_error,
     _form_error,
     _lowered,
     _mdot,
+    _orthogonal,
     _rows,
     lorentz_dot,
     orthonormal_spatial_frame,
@@ -35,16 +36,16 @@ class Boost(LorentzMap):
 
     def __init__(self, matrix, u_to: AbsoluteVelocity, u_from: AbsoluteVelocity):
         super().__init__(matrix)
-        _require_boost(self.matrix, u_to.components, u_from.components, TOL.constraint)
+        _require_boost(self.matrix, u_to.components, u_from.components)
         self.u_to = u_to
         self.u_from = u_from
 
 
-def _require_boost(m: np.ndarray, u_to, u_from, tol: float) -> None:
+def _require_boost(m: np.ndarray, u_to, u_from) -> None:
     # the checks every boost matrix passes: the Lorentz form, and u_from carried onto u_to
-    if not _form_error(m) <= tol:
+    if not _form_error(m) <= TOL.constraint:
         raise ConstraintViolation("boost matrix does not preserve the Lorentz form")
-    if not float(abs(m @ u_from - u_to).max()) <= tol:
+    if not _carry_error(m, u_from, u_to) <= TOL.constraint:
         raise ConstraintViolation("boost does not map u_from to u_to")
 
 
@@ -60,7 +61,7 @@ class SpatialRotation(LorentzMap):
         tol = TOL.constraint if tol is None else tol
         # an overflow becomes the inf or NaN that the checks reject
         with np.errstate(over="ignore", invalid="ignore"):
-            if not float(np.max(np.abs(self.matrix @ u.components - u.components))) <= tol:
+            if not _carry_error(self.matrix, u.components, u.components) <= tol:
                 raise ConstraintViolation("rotation does not fix its velocity")
             self.u = u
             self.frame = orthonormal_spatial_frame(u)
@@ -83,13 +84,13 @@ def boost(u_to: AbsoluteVelocity, u_from: AbsoluteVelocity) -> Boost:
 
     boost(u, u) is the identity and boost(u, u') inverts boost(u', u).
     """
-    m = _boost_matrix(u_to.components.tolist(), u_from.components.tolist(), TOL.constraint)
+    m = _boost_matrix(u_to.components.tolist(), u_from.components.tolist())
     out = Boost.__new__(Boost)  # _boost_matrix has made Boost's checks
     out.matrix, out.u_to, out.u_from = m, u_to, u_from
     return out
 
 
-def _boost_matrix(t, f, tol: float) -> np.ndarray:
+def _boost_matrix(t, f) -> np.ndarray:
     # checked read-only matrix of the boost carrying 4-float velocity f onto t, entry by entry
     # as numpy forms eye + outer(s, G s) / (1 - t.f) - 2 outer(t, G f) with s = t + f
     d = _mdot(t, f)
@@ -100,24 +101,24 @@ def _boost_matrix(t, f, tol: float) -> np.ndarray:
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ConstraintViolation("map entries must be finite")
     m = np.array(rows)
-    _require_boost(m, t, f, tol)
+    _require_boost(m, t, f)
     m.setflags(write=False)
     return m
 
 
-def _boost_rows(t, f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _boost_rows(t, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_boost_matrix of the velocity t with each row of f, all in one pass.
 
     Returns the [n, 4, 4] matrices and a mask of the rows that pass every
     check of _boost_matrix.  The entries are _boost_entries on the columns
-    of f; the residuals are _require_boost's products as stacked
-    ``np.matmul``, whose slices are the same BLAS calls.  So an accepted row
-    is the scalar kernel's matrix bit for bit, and the mask is its verdict.
+    of f, and the residuals are _require_boost's, on the stack.  So an
+    accepted row is the scalar kernel's matrix bit for bit, and the mask is
+    its verdict.
     """
     d = _mdot(t, f.T)
     m = _rows(_boost_entries(t, f.T, d))
-    form, carry = _boost_residuals(m, t, f)
-    return m, (d < 0.0) & np.isfinite(m).all(axis=(1, 2)) & (form <= tol) & (carry <= tol)
+    ok = (d < 0.0) & np.isfinite(m).all(axis=(1, 2)) & (_form_error(m) <= TOL.constraint)
+    return m, ok & (_carry_error(m, f, t) <= TOL.constraint)
 
 
 def _boost_entries(t, f, d) -> list[list]:
@@ -129,13 +130,6 @@ def _boost_entries(t, f, d) -> list[list]:
     return [[((1.0 if i == j else 0.0) + si * gsj / k) - 2.0 * (ti * gfj)
              for j, (gsj, gfj) in enumerate(zip(gs, gf))]
             for i, (si, ti) in enumerate(zip(s, t))]
-
-
-def _boost_residuals(m: np.ndarray, t, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _form_error of each matrix of m, and max |m @ f - t| of each row as _require_boost forms it
-    form = np.abs(m.transpose(0, 2, 1) @ METRIC @ m - METRIC).max(axis=(1, 2))
-    carry = np.abs((m @ f[:, :, None])[:, :, 0] - t).max(axis=1)
-    return form, carry
 
 
 def gamma_factor(u: AbsoluteVelocity, rdot: AbsoluteVelocity) -> float:
@@ -168,27 +162,16 @@ def relative_acceleration(
     ``rdot``; the result lies in the space vectors of ``u``.
     """
     return FourVector(_relative_acceleration(
-        u.components.tolist(), rdot.components.tolist(), rddot.components.tolist(),
-        TOL.constraint,
-    ))
+        u.components.tolist(), rdot.components.tolist(), rddot.components.tolist()))
 
 
-def _relative_acceleration(u, r, a, tol: float) -> list[float]:
+def _relative_acceleration(u, r, a) -> list[float]:
     # _acceleration_seen_by on 4-float vectors, once rdot.rddot passes its check
-    ortho = _mdot(r, a)
-    if not abs(ortho) <= tol * max(1.0, max(map(abs, a))):
+    if not _orthogonal(r, a, TOL.constraint):
         raise ConstraintViolation(
-            f"acceleration must be orthogonal to velocity, got rdot.rddot = {ortho}"
+            f"acceleration must be orthogonal to velocity, got rdot.rddot = {_mdot(r, a)}"
         )
     return _acceleration_seen_by(u, r, a)
-
-
-def _relative_acceleration_rows(u, r: np.ndarray, a: np.ndarray,
-                                tol: float) -> tuple[list, np.ndarray]:
-    # _relative_acceleration of u with each column pair of [4, n] columns r and a, and a mask
-    # of the rows whose orthogonality check passes (a NaN fails it, as in the scalar kernel)
-    ok = np.abs(_mdot(r, a)) <= tol * np.maximum(1.0, np.abs(a).max(axis=0))
-    return _acceleration_seen_by(u, r, a), ok
 
 
 def _acceleration_seen_by(u, r, a) -> list:

@@ -175,7 +175,7 @@ class LorentzMap:
     def is_lorentz(self, tol: float | None = None) -> bool:
         """True when the map preserves the Lorentz form on the fixed basis."""
         tol = TOL.constraint if tol is None else tol
-        return _form_error(self.matrix) <= tol
+        return bool(_form_error(self.matrix) <= tol)
 
     @_silent_overflow
     def is_antisymmetric(self, tol: float | None = None) -> bool:
@@ -198,12 +198,26 @@ def lorentz_dot(x: FourVector, y: FourVector) -> float:
     return _mdot(x.components.tolist(), y.components.tolist())
 
 
-def _form_error(m: np.ndarray) -> float:
+def _form_error(m: np.ndarray):
     """Largest entry of |m^T G m - G|: how far m is from preserving the Lorentz form.
 
-    NaN when m's entries are, so a check ``not _form_error(m) <= tol`` rejects it.
+    A float for one [4, 4] map, one value per map for an [n, 4, 4] stack, with
+    the same bits: stacked ``np.matmul`` makes each map's own BLAS call.  NaN
+    where a map's entries are, so a check ``not _form_error(m) <= tol`` rejects it.
     """
-    return float(np.max(np.abs(m.T @ METRIC @ m - METRIC)))
+    return np.abs(np.swapaxes(m, -1, -2) @ METRIC @ m - METRIC).max(axis=(-2, -1))
+
+
+def _carry_error(m: np.ndarray, x, y):
+    # largest component of |m x - y|, how far m is from carrying x onto y: for one map and
+    # four components x, or per map of a stack and [n, 4] rows x, in the same bits
+    return np.abs((m @ np.asarray(x)[..., None])[..., 0] - y).max(axis=-1)
+
+
+def _orthogonal(v, z, tol: float):
+    # |v.z| <= tol max(1, max |z|), z a space vector of v: for four floats, or per column of
+    # [4, n] columns; a NaN fails.  tol is TOL.constraint, or TOL.drift when observing
+    return abs(_mdot(v, z)) <= tol * np.maximum(1.0, np.abs(z).max(axis=0))
 
 
 def _mdot(a, b) -> float:

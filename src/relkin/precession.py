@@ -17,10 +17,10 @@ from typing import NoReturn
 import numpy as np
 
 from .boosts import (
+    _acceleration_seen_by,
     _boost_matrix,
     _boost_rows,
     _relative_acceleration,
-    _relative_acceleration_rows,
     _relative_velocity,
     boost,
 )
@@ -31,9 +31,9 @@ from .minkowski import (
     FourVector,
     LorentzMap,
     _mdot,
+    _orthogonal,
     _rows,
     _wedge,
-    lorentz_dot,
     orthonormal_spatial_frame,
     wedge,
 )
@@ -65,13 +65,13 @@ def precession_rate(v: FourVector, a: FourVector) -> LorentzMap:
     observer's space; |v| must stay below 1.  Equals ((gamma - 1)/|v|^2) v ^ a
     for nonzero v.
     """
-    return LorentzMap(_rate_matrix(v.components.tolist(), a.components.tolist(), TOL.constraint))
+    return LorentzMap(_rate_matrix(v.components.tolist(), a.components.tolist()))
 
 
-def _rate_matrix(v, a, tol: float) -> list[list[float]]:
+def _rate_matrix(v, a) -> list[list[float]]:
     # precession_rate on 4-float relative velocity and acceleration
     v_sq = _mdot(v, v)
-    if not v_sq >= -tol:
+    if not v_sq >= -TOL.constraint:
         raise ConstraintViolation("relative velocity must be spacelike")
     v_sq = max(v_sq, 0.0)
     if not v_sq < 1.0:
@@ -80,7 +80,7 @@ def _rate_matrix(v, a, tol: float) -> list[list[float]]:
     return _wedge(v, a, gamma * gamma / (1.0 + gamma))
 
 
-def _rate_rows(v, a, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _rate_rows(v, a) -> tuple[np.ndarray, np.ndarray]:
     # _rate_matrix of each column pair of [4, n] columns v and a as an [n, 4, 4] array, and a
     # mask of the rows it accepts with finite entries; the sign of a clamped zero cannot
     # change 1.0 - v_sq
@@ -88,7 +88,7 @@ def _rate_rows(v, a, tol: float) -> tuple[np.ndarray, np.ndarray]:
     clamped = np.maximum(v_sq, 0.0)
     gamma = 1.0 / np.sqrt(1.0 - clamped)
     rate = _rows(_wedge(v, a, gamma * gamma / (1.0 + gamma)))
-    return rate, (v_sq >= -tol) & (clamped < 1.0) & np.isfinite(rate).all(axis=(1, 2))
+    return rate, (v_sq >= -TOL.constraint) & (clamped < 1.0) & np.isfinite(rate).all(axis=(1, 2))
 
 
 def observe_gyroscope(
@@ -106,7 +106,7 @@ def observe_gyroscope(
     s = proper_time_of_frame_time(u, line, t)
     z = z_of_s(s)
     rdot = line.velocity(s)
-    if not abs(lorentz_dot(rdot, z)) <= TOL.drift * max(1.0, float(np.max(np.abs(z.components)))):
+    if not _orthogonal(rdot.components.tolist(), z.components.tolist(), TOL.drift):
         raise ConstraintViolation("supplied trajectory is not gyroscopic at the requested time")
     return boost(u, rdot)(z)
 
@@ -141,19 +141,19 @@ def precession_series(
     ss = [_invert_increasing(clock, t) for t in ts]
     states = transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
     kin = line._kinematics_block([state.s for state in states])
-    rdot, rddot, w, tol = kin[:, 0], kin[:, 1], u.components.tolist(), TOL.constraint
+    rdot, rddot, w = kin[:, 0].T, kin[:, 1].T, u.components.tolist()
     # an overflow becomes the inf or NaN that a check rejects
     with np.errstate(all="ignore"):
-        m, ok = _boost_rows(w, rdot, tol)
+        m, ok = _boost_rows(w, rdot.T)
         z = (m @ np.array([state.z.components for state in states])[:, :, None])[:, :, 0]
-        a, ok_a = _relative_acceleration_rows(w, rdot.T, rddot.T, tol)
-        rate, ok_rate = _rate_rows(_relative_velocity(w, rdot.T), a, tol)
-        ok &= np.isfinite(z).all(axis=1) & ok_a & ok_rate
+        a = _acceleration_seen_by(w, rdot, rddot)
+        rate, ok_rate = _rate_rows(_relative_velocity(w, rdot), a)
+        ok &= np.isfinite(z).all(axis=1) & _orthogonal(rdot, rddot, TOL.constraint) & ok_rate
         inv_dt = 1.0 / np.subtract(ts[2:], ts[:-2])
         z_dot = (z[2:] - z[:-2]) * inv_dt[:, None]
         ok_dot = np.isfinite(inv_dt) & np.isfinite(z_dot).all(axis=1)
     if not (ok.all() and ok_dot.all()):
-        _raise_first_failure(w, line, states, ts, z, ok, ok_dot, tol)
+        _raise_first_failure(w, line, states, ts, z, ok, ok_dot)
     for block in (z, rate, z_dot):
         block.setflags(write=False)
     samples = [PrecessionSample(t, _vector(zk), _map(rk)) for t, zk, rk in zip(ts, z, rate)]
@@ -176,7 +176,7 @@ def _map(matrix: np.ndarray) -> LorentzMap:
     return out
 
 
-def _raise_first_failure(w, line, states, ts, z, ok, ok_dot, tol) -> NoReturn:
+def _raise_first_failure(w, line, states, ts, z, ok, ok_dot) -> NoReturn:
     """Replay the per-sample kernels where a block check failed.
 
     The first sample that fails any check is rerun through the scalar
@@ -190,9 +190,9 @@ def _raise_first_failure(w, line, states, ts, z, ok, ok_dot, tol) -> NoReturn:
         if not ok.all():
             state = states[int(np.argmin(ok))]
             rdot, rddot = line._kinematics_arrays(state.s)
-            FourVector(_boost_matrix(w, rdot, tol) @ state.z.components)
+            FourVector(_boost_matrix(w, rdot) @ state.z.components)
             v = _relative_velocity(w, rdot)
-            LorentzMap(_rate_matrix(v, _relative_acceleration(w, rdot, rddot, tol), tol))
+            LorentzMap(_rate_matrix(v, _relative_acceleration(w, rdot, rddot)))
         else:
             k = int(np.argmin(ok_dot)) + 1
             dt = ts[k + 1] - ts[k - 1]

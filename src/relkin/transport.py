@@ -25,9 +25,11 @@ from .errors import ConstraintViolation, DriftViolation, VelocityMismatch
 from .minkowski import (
     FourVector,
     LorentzMap,
+    _carry_error,
     _elliptic_exp,
     _form_error,
     _mdot,
+    _orthogonal,
     _rows,
     _wedge,
     wedge,
@@ -180,11 +182,10 @@ def _rk4_operator(line: WorldLine, m: np.ndarray, s1: float, s2: float, step: fl
 
 
 def _require_gyroscopic(rdot, z0: FourVector, where: str) -> None:
-    ortho = _mdot(rdot, z0.components)
-    if not abs(ortho) <= TOL.constraint * max(1.0, float(np.max(np.abs(z0.components)))):
-        raise ConstraintViolation(
-            f"initial vector must be orthogonal to the velocity {where}, got {ortho}"
-        )
+    z = z0.components.tolist()  # floats overflow to inf without a numpy warning
+    if not _orthogonal(rdot, z, TOL.constraint):
+        raise ConstraintViolation(f"initial vector must be orthogonal to the velocity {where}, "
+                                  f"got {_mdot(rdot, z)}")
 
 
 def transport_numeric(
@@ -249,25 +250,27 @@ def transport_operator_numeric(
     """Transport map s1 -> s2 as a ``LorentzMap``, by integrating basis vectors.
 
     A form error, or an error carrying the velocity at ``s1`` to that at
-    ``s2``, above ``TOL.numeric`` is a ``DriftViolation``.
+    ``s2``, above ``TOL.numeric`` is a ``DriftViolation`` that names the step
+    and the step count: rounding grows with the count, so a smaller step
+    does not always lower the error.
     """
     s1, s2 = _finite_time(s1), _finite_time(s2)
-    tol = TOL.numeric
     step = _resolve_step(line, abs(s2 - s1), step)
     m = _rk4_operator(line, np.eye(4), s1, s2, step)
-    form = _form_error(m)
-    if not form <= tol:
-        raise DriftViolation(
-            f"transport operator form error {form} exceeds {tol} (step too large)"
-        )
+    _require_operator("form", _form_error(m), s1, s2, step)
     rdot1, _ = line._kinematics_arrays(s1)
     rdot2, _ = line._kinematics_arrays(s2)
-    endpoint = float(np.max(np.abs(m @ rdot1 - rdot2)))
-    if not endpoint <= tol:
-        raise DriftViolation(
-            f"transport operator endpoint error {endpoint} exceeds {tol} (step too large)"
-        )
+    _require_operator("endpoint", _carry_error(m, rdot1, rdot2), s1, s2, step)
     return LorentzMap(m)
+
+
+def _require_operator(kind: str, err, s1: float, s2: float, step: float) -> None:
+    # err within TOL.numeric, or a DriftViolation naming the step and the step count
+    if not err <= TOL.numeric:
+        n = sum(1 for _ in _steps(s1, s2, step))
+        raise DriftViolation(f"transport operator {kind} error {err} exceeds {TOL.numeric} after "
+                             f"{n} RK4 steps of {step}: the step is too large, or rounding, "
+                             "which a smaller step does not lower, dominates")
 
 
 def circular_transport_generator(line: CircularWorldLine) -> LorentzMap:
@@ -295,7 +298,7 @@ def transport_circular_exact(
     factor lorentz_factor faster than proper time; numeric transport APIs
     take proper time instead.
     """
-    _require_gyroscopic(line.initial_velocity.components, z0, "at s = 0")
+    _require_gyroscopic(line.initial_velocity.components.tolist(), z0, "at s = 0")
     t = _finite_time(t, "center time")
     gen = circular_transport_generator(line)
     spin_rate = line.lorentz_factor * line.angular_rate

@@ -23,7 +23,9 @@ from .minkowski import (
     AbsoluteVelocity,
     FourVector,
     LorentzMap,
+    _carry_error,
     _mdot,
+    _orthogonal,
     _rows,
     antisymmetric_magnitude,
     lorentz_dot,
@@ -169,12 +171,12 @@ class CircularWorldLine(WorldLine):
         # each check reads `not (x <= bound)`, so a NaN fails it; an overflow is
         # left to become the inf or NaN that the check rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            if not float(np.max(np.abs(om @ uc))) <= tol:
+            if not _carry_error(om, uc, 0.0) <= tol:
                 raise ConstraintViolation("angular velocity must kill the center velocity")
             rate = antisymmetric_magnitude(angular_velocity)
             if not rate > tol:
                 raise ConstraintViolation("angular velocity must be nonzero")
-            if not abs(_mdot(uc, q)) <= tol:
+            if not _orthogonal(uc, q, tol):
                 raise ConstraintViolation(
                     "radius vector must be a space vector of the center frame")
             radius = radius_vector.norm()
@@ -311,14 +313,9 @@ class CircularWorldLine(WorldLine):
         return _finite_time(t, "center time") / self.lorentz_factor
 
     def initial_time_of_proper_time(self, s: float) -> float:
-        """Time of the frame comoving with the orbit at s = 0.
-
-        Closed form obtained by integrating the dilation factor
-        lam^2 (1 - speed^2 cos(phase)) over proper time.
-        """
-        s = _finite_time(s)
-        lam = self.lorentz_factor
-        return lam * lam * s - lam * self.angular_rate * self.radius ** 2 * math.sin(self._phase(s))
+        """Time of the frame comoving with the orbit at s = 0: the frame clock of
+        :func:`frame_time_of_proper_time` for the initial velocity."""
+        return frame_time_of_proper_time(self.initial_velocity, self, s)
 
     def proper_time_of_initial_time(self, t: float) -> float:
         """Invert :meth:`initial_time_of_proper_time`: the frame-time inversion

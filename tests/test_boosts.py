@@ -26,7 +26,7 @@ from relkin import (
     thomas_rotation_discrete,
 )
 
-from relkin.minkowski import _form_error, _mdot, _rows
+from relkin.minkowski import _carry_error, _form_error, _mdot, _orthogonal, _rows
 
 from helpers import (
     max_abs,
@@ -205,34 +205,35 @@ class TestRowKernels:
                                 [1.0, 1e308, 1e308, 0.0]])
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6])
-    def test_boost_rows_are_the_scalar_matrices(self, tol):
+    def test_boost_rows_are_the_scalar_matrices(self, tol, monkeypatch):
+        monkeypatch.setattr(TOL, "constraint", tol)
         rng = np.random.default_rng(27)
         for _ in range(10):
             t = random_velocity(rng, 0.999).components
             f = self.velocity_rows(rng, 400)
             with np.errstate(all="ignore"):
-                m, ok = boosts._boost_rows(t, f, tol)
+                m, ok = boosts._boost_rows(t, f)
             for k, row in enumerate(f.tolist()):
-                accepted, expected = scalar_verdict(boosts._boost_matrix, t.tolist(), row, tol)
+                accepted, expected = scalar_verdict(boosts._boost_matrix, t.tolist(), row)
                 assert ok[k] == accepted
                 if accepted:
                     assert m[k].tobytes() == expected.tobytes()
 
     def test_batched_residuals_are_the_scalar_residuals(self):
         # stacked np.matmul makes the per-matrix BLAS calls, so the residuals
-        # the block compares are the scalar checks' own numbers
+        # the block compares are the single map's own numbers
         rng = np.random.default_rng(28)
         for k in range(10):
             t = random_velocity(rng, 0.999).components
             f = np.array([random_velocity(rng, 0.999).components for _ in range(400)])
             if k % 2:  # rows strided as in a kinematics block [n, (rdot, rddot), 4]
                 f = np.stack([f, np.zeros_like(f)], axis=1)[:, 0]
-            m, _ = boosts._boost_rows(t, f, 1.0)
-            form, carry = boosts._boost_residuals(m, t, f)
-            scalar = [boosts._boost_matrix(t.tolist(), row, 1.0) for row in f.tolist()]
-            expected_form = [_form_error(mk) for mk in scalar]
-            expected_carry = [float(abs(mk @ tuple(row) - t.tolist()).max())
-                              for mk, row in zip(scalar, f.tolist())]
+            m, _ = boosts._boost_rows(t, f)
+            form, carry = _form_error(m), _carry_error(m, f, t)
+            expected_form = [_form_error(mk) for mk in m]
+            expected_carry = [_carry_error(mk, row, t.tolist())
+                              for mk, row in zip(m, f.tolist())]
+            assert form.shape == carry.shape == (len(f),)
             assert form.tobytes() == np.array(expected_form).tobytes()
             assert carry.tobytes() == np.array(expected_carry).tobytes()
 
@@ -254,13 +255,14 @@ class TestRowKernels:
             r, a = np.array(r), np.array(a)
             with np.errstate(all="ignore"):
                 v = _rows(boosts._relative_velocity(u.tolist(), r.T))
-                acc, ok = boosts._relative_acceleration_rows(u.tolist(), r.T, a.T, 1e-12)
-                acc = _rows(acc)
+                acc = _rows(boosts._acceleration_seen_by(u.tolist(), r.T, a.T))
+                ok = _orthogonal(r.T, a.T, TOL.constraint)
             expected_v = [boosts._relative_velocity(u.tolist(), row) for row in r.tolist()]
             assert v.tobytes() == np.array(expected_v).tobytes()
             for k in range(len(r)):
+                assert ok[k] == _orthogonal(r[k].tolist(), a[k].tolist(), TOL.constraint)
                 accepted, expected = scalar_verdict(
-                    boosts._relative_acceleration, u.tolist(), r[k].tolist(), a[k].tolist(), 1e-12)
+                    boosts._relative_acceleration, u.tolist(), r[k].tolist(), a[k].tolist())
                 assert ok[k] == accepted
                 if accepted and np.isfinite(expected).all():
                     assert acc[k].tobytes() == expected.tobytes()

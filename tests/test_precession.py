@@ -315,14 +315,14 @@ def per_sample_series(u, line, z0, t_grid, step=None, tol_drift=None):
     clock = line._frame_clock(u)
     ss = [_invert_increasing(clock, t) for t in ts]
     states = precession_module.transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
-    w, tol = u.components.tolist(), TOL.constraint
+    w = u.components.tolist()
     samples, zs = [], []
     for t, state in zip(ts, states):
         rdot, rddot = line._kinematics_arrays(state.s)
-        observed = FourVector(_boost_matrix(w, rdot, tol) @ state.z.components)
+        observed = FourVector(_boost_matrix(w, rdot) @ state.z.components)
         v = _relative_velocity(w, rdot)
-        a = _relative_acceleration(w, rdot, rddot, tol)
-        samples.append(PrecessionSample(t, observed, LorentzMap(_rate_matrix(v, a, tol))))
+        a = _relative_acceleration(w, rdot, rddot)
+        samples.append(PrecessionSample(t, observed, LorentzMap(_rate_matrix(v, a))))
         zs.append(observed.components.tolist())
     for k in range(1, len(samples) - 1):
         dt = ts[k + 1] - ts[k - 1]
@@ -537,10 +537,9 @@ class TestBlockObservation:
                 (name, np.ndim(args[1]))) or kernel(*args))
 
         for name in ("_boost_matrix", "_relative_velocity", "_relative_acceleration",
-                     "_rate_matrix", "_wedge"):
+                     "_acceleration_seen_by", "_rate_matrix", "_wedge"):
             spy(precession_module, name)
-        for name in ("_boost_entries", "_acceleration_seen_by"):
-            spy(boosts_module, name)
+        spy(boosts_module, "_boost_entries")
         on_columns = [("_boost_entries", 2), ("_acceleration_seen_by", 2),
                       ("_relative_velocity", 2), ("_wedge", 2)]
         precession_series(u, line, z0, grid, step=step)
@@ -565,11 +564,11 @@ class TestBlockObservation:
         a += [np.ones(4), np.ones(4), np.ones(4), np.ones(4), np.ones(4), [0.0, 0.0, 1e308, 0.0]]
         v, a = np.array(v), np.array(a)
         with np.errstate(all="ignore"):
-            rate, ok = precession_module._rate_rows(v.T, a.T, 1e-12)
+            rate, ok = precession_module._rate_rows(v.T, a.T)
         for k in range(len(v)):
             try:
                 expected = LorentzMap(precession_module._rate_matrix(
-                    v[k].tolist(), a[k].tolist(), 1e-12)).matrix
+                    v[k].tolist(), a[k].tolist())).matrix
             except ConstraintViolation:
                 assert not ok[k]
             else:

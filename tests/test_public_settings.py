@@ -1,10 +1,12 @@
-"""The per-call tolerance and solver settings of the public API.
+"""The per-call tolerance and solver settings of the public API and the source.
 
 Checks read their tolerances from ``relkin.config.TOL``; a parameter that
 overrides one exists only where a caller sets it.  A new one shows up here
-as an edit to ``KEPT``.
+as an edit to ``KEPT``, or, for a private function, to ``PRIVATE_KEPT``.
 """
+import ast
 import inspect
+from pathlib import Path
 
 import relkin
 
@@ -39,3 +41,36 @@ def test_only_the_kept_settings_remain():
         if param in KNOBS
     }
     assert found == KEPT
+
+
+#: private functions that take a tolerance: the callers of each need different values
+PRIVATE_KEPT = {
+    ("_orthogonal", "tol"),             # TOL.constraint, and TOL.drift when observing
+    ("_rk4_vector", "tol"),             # the caller's tol_drift
+    ("run_scenario", "tol"),            # the CLI's --tol, down to the runners
+    ("_run_boost_compose", "tol"),
+    ("_run_circular_thomas", "tol"),
+    ("_run_transport", "tol"),
+    ("_run_precess", "tol"),
+}
+
+
+def tolerance_parameters(tree: ast.AST, prefix: str = ""):
+    """(qualified name, parameter) of every function in the tree that takes a tol or tol_drift."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg in {"tol", "tol_drift"}:
+                        yield name, arg.arg
+            yield from tolerance_parameters(node, name + ".")
+
+
+def test_only_the_kept_tolerance_parameters_remain_in_the_source():
+    # every other check reads TOL where it compares
+    found = set()
+    for path in sorted(Path(relkin.__file__).parent.glob("*.py")):
+        found |= set(tolerance_parameters(ast.parse(path.read_text())))
+    assert found == KEPT | PRIVATE_KEPT

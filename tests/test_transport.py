@@ -626,6 +626,24 @@ class TestTransportOperator:
         with pytest.raises(DriftViolation, match="transport operator form error 0.0125"):
             transport_operator_numeric(line, 0.0, line.proper_period, step=1.0)
 
+    def test_drift_names_the_step_count_and_rounding(self, monkeypatch):
+        # the operator's error may be rounding, which grows with the count, so the message
+        # gives the step and the count and does not only blame the step's size
+        line = standard_line()
+        with pytest.raises(DriftViolation) as form:
+            transport_operator_numeric(line, 0.0, line.proper_period, step=1.0)
+        kin = line._kinematics_arrays  # the endpoint check's only kinematics call
+        monkeypatch.setattr(line, "_kinematics_arrays", lambda s: (
+            tuple(v + 1e-6 * (s != 0.0) for v in kin(s)[0]), kin(s)[1]))
+        with pytest.raises(DriftViolation) as endpoint:
+            transport_operator_numeric(line, 0.0, line.proper_period)
+        for err, kind, step in ((form, "form", 1.0), (endpoint, "endpoint", line.default_step)):
+            count = sum(1 for _ in _steps(0.0, line.proper_period, step))
+            message = str(err.value)
+            assert message.startswith(f"transport operator {kind} error ")
+            assert f" exceeds 1e-10 after {count} RK4 steps of {step}: " in message
+            assert "rounding, which a smaller step does not lower" in message
+
     def test_one_period_matches_corotating_exponential(self):
         line = standard_line()
         period = line.proper_period
@@ -717,6 +735,15 @@ class TestExactCircularTransport:
         line = standard_line()
         with pytest.raises(ConstraintViolation):
             transport_circular_exact(line, E2, 1.0)
+
+    def test_overflowing_start_is_a_constraint_violation(self):
+        # u0.z overflows to -inf, on floats and so without a numpy warning
+        line = standard_line()
+        z0 = FourVector([1.7e308, 0.0, 0.0, 0.0])
+        for run in (lambda: transport_circular_exact(line, z0, 1.0),
+                    lambda: transport_path(line, z0, [1.0])):
+            with pytest.raises(ConstraintViolation, match="orthogonal to the velocity.*-inf"):
+                run()
 
     def test_is_the_two_term_formula(self):
         # both commuting-plane factors are I + sin(ph)/w m + (1 - cos(ph))/w^2 m^2,

@@ -17,12 +17,14 @@ from relkin import (
     LorentzMap,
     WorldLine,
     boost,
+    circular_thomas_angle,
     fermi_walker_derivative,
     frame_time_of_proper_time,
     lorentz_dot,
     precession_series,
     project_spatial,
     proper_time_of_frame_time,
+    rotation_angle_axis,
     thomas_rotation_general,
     transport_circular_exact,
     transport_numeric,
@@ -85,6 +87,26 @@ class TestConstruction:
         with pytest.raises(ConstraintViolation):
             CircularWorldLine(AbsoluteVelocity.rest(), 0.6 * wedge(E2, E1),
                               FourVector([0.5, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("rate, radius, v3", [
+        (5e-4, 1e3, [0.9, 0.0, 0.3]),   # u_c.q is -1.02e-12 against |q| of about 2 946
+        (5e-7, 1e6, [0.5, 0.3, 0.1]),
+    ])
+    def test_large_orbit_with_a_moving_center(self, rate, radius, v3):
+        # the radius check's residual is rounding of the size of q, so its bound scales with q
+        line = CircularWorldLine.from_plane(
+            rate, radius, center_velocity=AbsoluteVelocity.from_3velocity(v3))
+        angle, _ = rotation_angle_axis(thomas_rotation_general(line, 0.0, line.proper_period))
+        assert abs(angle - circular_thomas_angle(line).reduced) < 1e-12
+
+    def test_rejects_radius_off_the_center_frame_by_a_part_in_a_million(self):
+        uc = AbsoluteVelocity.from_3velocity([0.9, 0.0, 0.3])
+        line = CircularWorldLine.from_plane(5e-4, 1e3, center_velocity=uc)
+        q = line.radius_vector.components
+        # u_c.q moves by 1e-6 max|q| (q's plane and rate are unchanged to first order)
+        tilted = FourVector(q - 1e-6 * float(np.max(np.abs(q))) * uc.components)
+        with pytest.raises(ConstraintViolation, match="space vector of the center frame"):
+            CircularWorldLine(uc, line.angular_velocity, tilted)
 
 
 class _NanProduct(float):
@@ -236,6 +258,21 @@ class TestTimeConversions:
             expected = lam * lam * (1.0 - speed2 * math.cos(0.6 * lam * s))
             got = -lorentz_dot(line.initial_velocity, line.velocity(s))
             assert abs(got - expected) < 1e-10
+
+    def test_initial_time_is_the_frame_clock(self):
+        # one definition: the initial velocity's frame clock, bit for bit, which is
+        # lam^2 s - lam rate rho^2 sin(phase) to rounding
+        rng = np.random.default_rng(37)
+        for k in range(16):
+            speed, rho = rng.uniform(0.1, 0.99), rng.uniform(0.2, 5.0)
+            uc = AbsoluteVelocity.from_3velocity(rng.uniform(-0.5, 0.5, 3)) if k % 2 else None
+            line = CircularWorldLine.from_plane(speed / rho, rho, center_velocity=uc)
+            lam, spin = line.lorentz_factor, line.angular_rate * line.lorentz_factor
+            for s in rng.uniform(-3.0, 3.0, 50) * line.proper_period:
+                t = line.initial_time_of_proper_time(s)
+                assert t == frame_time_of_proper_time(line.initial_velocity, line, s)
+                closed = lam * lam * s - lam * speed * rho * math.sin(spin * s)
+                assert abs(t - closed) <= 1e-12 * max(1.0, abs(closed))
 
     def test_initial_time_round_trip(self):
         line = standard_line()
