@@ -428,7 +428,8 @@ def selftest() -> int:
     def default_step_target():
         # one period at the default step h against the exact transport: the
         # discretisation error, read by the fourth-order law from the error at 4 h,
-        # meets the step's target, and rounding adds at most eps per step
+        # meets the step's target, and rounding adds at most eps per step; the
+        # operator RK4's Thomas rotation meets the same bound against the closed form
         from .transport import transport_circular_exact, transport_numeric
         from .worldlines import _STEP_TARGET
 
@@ -438,12 +439,15 @@ def selftest() -> int:
             period, h = line.proper_period, line.default_step
             exact = transport_circular_exact(line, z0, line.lorentz_factor * period)
             scale = float(np.max(np.abs(line.initial_velocity.components))) ** 2
-            for factor, target in ((4.0, 4.0 ** 4 * _STEP_TARGET),
-                                   (1.0, _STEP_TARGET + period / h * np.finfo(float).eps)):
+            bound = (_STEP_TARGET + period / h * np.finfo(float).eps) * scale
+            for factor, target in ((4.0, 4.0 ** 4 * _STEP_TARGET * scale), (1.0, bound)):
                 z = transport_numeric(line, z0, 0.0, period, step=factor * h).z
                 err = float(np.max(np.abs(z.components - exact.components)))
-                expect(err <= target * scale,
+                expect(err <= target,
                        f"step {factor} x default is {err} off the exact transport at speed {speed}")
+            op = thomas_rotation_general(line, 0.0, period).matrix
+            err = float(np.max(np.abs(op - thomas_rotation_circular(line).matrix)))
+            expect(err <= bound, f"the operator is {err} off the exact rotation at speed {speed}")
 
     def central_rate():
         from .precession import central_frame_precession

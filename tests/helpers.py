@@ -20,6 +20,21 @@ def max_abs(arr) -> float:
     return float(np.max(np.abs(np.asarray(arr))))
 
 
+def parse_report(path) -> dict:
+    out = {}
+    for line in path.read_text().splitlines():
+        key, _, value = line.partition(" = ")
+        out[key] = value
+    return out
+
+
+def read_csv(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return header, rows
+
+
 def random_velocity(rng, vmax=0.95) -> AbsoluteVelocity:
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
@@ -108,3 +123,43 @@ class HyperbolicLine(WorldLine):
     def _kinematics_arrays(self, s):
         ch, sh = self._hyperbolic(s)
         return (ch, sh, 0.0, 0.0), (self.a * sh, self.a * ch, 0.0, 0.0)
+
+
+class LoopLine(WorldLine):
+    """Planar loop of varying rapidity: eta(s) = eta0 + eps sin s and phi(s) = s.
+
+    u = cosh eta e0 + sinh eta (cos phi e1 + sin phi e2) returns to its start
+    after each 2 pi of proper time.  Thomas rotation is the holonomy of
+    velocity space, so over one loop the gyroscope turns about e3 by minus the
+    hyperbolic area the hodograph encloses, -int_0^{2 pi} (cosh eta - 1) dphi
+    (Aravind, Am. J. Phys. 65, 634 (1997)): an exact oracle on a closed loop
+    along which gamma varies.  Velocity and acceleration are closed form, on
+    floats; the line has no position.
+    """
+
+    default_step = 2.0 * math.pi / 20_000
+
+    def __init__(self, eta0: float, eps: float):
+        self.eta0, self.eps = eta0, eps
+
+    def position(self, s):
+        raise NotImplementedError("the loop line has no closed-form position")
+
+    def velocity(self, s):
+        return AbsoluteVelocity(self._kinematics_arrays(s)[0])
+
+    def acceleration(self, s):
+        return FourVector(self._kinematics_arrays(s)[1])
+
+    def _kinematics_arrays(self, s):
+        s = _finite_time(s)
+        eta, deta = self.eta0 + self.eps * math.sin(s), self.eps * math.cos(s)
+        ch, sh, c, si = math.cosh(eta), math.sinh(eta), math.cos(s), math.sin(s)
+        return ((ch, sh * c, sh * si, 0.0),
+                (deta * sh, deta * ch * c - sh * si, deta * ch * si + sh * c, 0.0))
+
+    def plane_frame(self, s):
+        """(n, t): the unit space vectors of u(s) in the plane of motion, n outward."""
+        eta, c, si = self.eta0 + self.eps * math.sin(s), math.cos(s), math.sin(s)
+        ch, sh = math.cosh(eta), math.sinh(eta)
+        return FourVector([sh, ch * c, ch * si, 0.0]), FourVector([0.0, -si, c, 0.0])

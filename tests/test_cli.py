@@ -24,6 +24,8 @@ from relkin import (
 from relkin import cli
 from relkin.cli import MAX_DEPTH, MAX_POINTS, emit_csv, main, run_scenario, selftest
 
+from helpers import parse_report, read_csv
+
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,21 +66,6 @@ TIMELIKE_TRANSPORT = (
     "gyro: [0.017693429288338655, -0.9954456797894932, -0.0936741220853041]\n"
     "s_min: 0\ns_max: 12.94911807546774\nn_points: 2\nstep: 9.10453044118172\n"
 )
-
-
-def parse_report(path: Path) -> dict:
-    out = {}
-    for line in path.read_text().splitlines():
-        key, _, value = line.partition(" = ")
-        out[key] = value
-    return out
-
-
-def read_csv(path: Path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
-    return header, rows
 
 
 class TestGoldenRegeneration:
@@ -734,6 +721,21 @@ def test_selftest_catches_a_coarse_default_step():
     assert broken.returncode == 1
     assert broken.stdout.count("FAIL") == 1
     assert "FAIL default step meets its error target" in broken.stdout
+
+
+def test_selftest_checks_the_operator_rk4():
+    # an operator RK4 at three times the default step is 3^4 times further off the
+    # exact Thomas rotation; the vector RK4 is untouched, so only the operator fails
+    broken = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import relkin.cli as c, relkin.transport as t; rk4 = t._rk4_operator; "
+         "t._rk4_operator = lambda line, m, s1, s2, h: rk4(line, m, s1, s2, 3.0 * h); "
+         "raise SystemExit(c.selftest())"],
+        capture_output=True, text=True,
+    )
+    assert broken.returncode == 1
+    assert broken.stdout.count("FAIL") == 1
+    assert "FAIL default step meets its error target: the operator is " in broken.stdout
 
 
 def test_optimized_module_selftest_exits_0():

@@ -36,11 +36,12 @@ from relkin import (
     wedge,
 )
 
-from relkin.transport import _BLOCK, MAX_STEPS, _generators, _rk4_operator, _steps
+from relkin.transport import (_BLOCK, MAX_STEPS, _generators, _reduce_angle, _rk4_operator,
+                              _steps)
 from relkin.worldlines import _STEP_TARGET
 
-from helpers import (DelegatingLine, HyperbolicLine, max_abs, random_spacelike_unit,
-                     random_velocity)
+from helpers import (DelegatingLine, HyperbolicLine, LoopLine, max_abs,
+                     random_spacelike_unit, random_velocity)
 
 
 def standard_line(omega=0.6, rho=1.0) -> CircularWorldLine:
@@ -483,7 +484,7 @@ def _per_step_generators(*kins):
 
 
 def per_step_rk4_operator(line, m, s1, s2, step):
-    """The operator RK4 one step at a time: the oracle of the block loop's bits."""
+    """The classical RK4 stages on m, one step at a time: the step maps' tolerance oracle."""
     kin = line._kinematics_arrays
     (w_lo,) = _per_step_generators(kin(s1))
     for s, h in _steps(s1, s2, step):
@@ -493,6 +494,21 @@ def per_step_rk4_operator(line, m, s1, s2, step):
         k3 = w_mid @ (m + (0.5 * h) * k2)
         k4 = w_hi @ (m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        w_lo = w_hi
+    return m
+
+
+def per_step_map_operator(line, m, s1, s2, step):
+    """The operator RK4 as one step map D at a time, m + D m: the block loop's bit oracle."""
+    kin = line._kinematics_arrays
+    (w_lo,) = _per_step_generators(kin(s1))
+    for s, h in _steps(s1, s2, step):
+        w_mid, w_hi = _per_step_generators(kin(s + 0.5 * h), kin(s + h))
+        k1 = w_lo
+        k2 = w_mid + (0.5 * h) * (w_mid @ k1)
+        k3 = w_mid + (0.5 * h) * (w_mid @ k2)
+        k4 = w_hi + h * (w_hi @ k3)
+        m = m + ((h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) @ m
         w_lo = w_hi
     return m
 
@@ -513,7 +529,11 @@ BLOCK_LINES = {
 
 
 class TestBlockOperator:
-    """The block loop returns the per-step loop's bytes; its kinematics blocks stay bounded."""
+    """The block loop returns the per-step map loop's bytes; its kinematics blocks stay bounded.
+
+    Stacked ``np.matmul`` computes each slice as the single 4x4 product does,
+    so building a block's step maps at once leaves every bit in place.
+    """
 
     STEP = 2.0 ** -10  # s1 +- n STEP is exact, so the schedule has exactly n full steps
 
@@ -526,7 +546,7 @@ class TestBlockOperator:
             for partial in (0.0, 0.375):
                 s2 = s1 + direction * (n_full + partial) * self.STEP
                 assert len(list(_steps(s1, s2, self.STEP))) == n_full + (partial > 0.0)
-                expected = per_step_rk4_operator(line, np.eye(4), s1, s2, self.STEP).tobytes()
+                expected = per_step_map_operator(line, np.eye(4), s1, s2, self.STEP).tobytes()
                 assert _rk4_operator(line, np.eye(4), s1, s2, self.STEP).tobytes() == expected
                 got = transport_operator_numeric(line, s1, s2, step=self.STEP)
                 assert got.matrix.tobytes() == expected
@@ -535,7 +555,7 @@ class TestBlockOperator:
     def test_thomas_rotation_is_the_per_step_operator(self, kind):
         line = BLOCK_LINES[kind]()
         period = line.proper_period
-        expected = per_step_rk4_operator(line, np.eye(4), 0.0, period, line.default_step)
+        expected = per_step_map_operator(line, np.eye(4), 0.0, period, line.default_step)
         got = thomas_rotation_general(line, 0.0, period)
         assert got.matrix.tobytes() == expected.tobytes()
 
@@ -676,6 +696,74 @@ class TestHyperbolicOracle:
         expected = boost(line.velocity(s2), line.velocity(s1)).matrix
         got = transport_operator_numeric(line, s1, s2).matrix
         assert max_abs(got - expected) <= 1e-12 * max_abs(expected)
+
+
+class TestStepMapsMatchTheStages:
+    """The step maps regroup the classical stage arithmetic, so the two loops differ
+    by rounding alone: at most a unit of eps per step, relative to |u|^2 over the
+    span (measured: 0.013 of it at speed 0.9, 5e-4 or less below and on the
+    hyperbolic line)."""
+
+    @staticmethod
+    def assert_within_rounding(line, s1, s2, scale):
+        step = line.default_step
+        n = sum(1 for _ in _steps(s1, s2, step))
+        got = _rk4_operator(line, np.eye(4), s1, s2, step)
+        stages = per_step_rk4_operator(line, np.eye(4), s1, s2, step)
+        assert max_abs(got - stages) <= n * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("centre", sorted(TestDefaultStepCalibration.CENTRES))
+    @pytest.mark.parametrize("speed", [0.05, 0.3, 0.6, 0.9])
+    def test_one_period_of_a_circular_line(self, speed, centre):
+        line = CircularWorldLine.from_plane(
+            speed, 1.0, center_velocity=TestDefaultStepCalibration.CENTRES[centre])
+        scale = max_abs(line.initial_velocity.components) ** 2
+        self.assert_within_rounding(line, 0.0, line.proper_period, scale)
+
+    @pytest.mark.parametrize("s1, s2", TestHyperbolicOracle.SPANS)
+    def test_hyperbolic_line(self, s1, s2):
+        line = HyperbolicLine(1.0)
+        scale = max(max_abs(line.velocity(s).components) for s in (s1, s2)) ** 2
+        self.assert_within_rounding(line, s1, s2, scale)
+
+
+class TestLoopAreaOracle:
+    """Over one loop of ``LoopLine`` the Thomas rotation is minus the area its
+    hodograph encloses in velocity space, with gamma varying along the loop.
+    The bound is RK4's error, 1e-2 h^4 gamma^6 (measured: at most 4.8e-3 from
+    1 000 to 20 000 steps), plus rounding, N eps gamma^2, with gamma the
+    largest along the loop."""
+
+    CASES = [(0.2, 0.15, 1_000), (0.5, 0.0, 2_000), (0.5, 0.3, 2_000), (1.0, 0.6, 4_000),
+             (2.0, 0.5, 20_000)]
+
+    @staticmethod
+    def area_angle(eta0, eps):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            area = mpmath.quad(lambda s: mpmath.cosh(eta0 + eps * mpmath.sin(s)) - 1,
+                               [0, 2 * mpmath.pi])
+        return _reduce_angle(-float(area))
+
+    @staticmethod
+    def angle_about_e3(line, s, m):
+        # the loop's operator restricted to u(s)'s space turns n toward t about e3
+        n, t = line.plane_frame(s)
+        moved = FourVector(m @ n.components)
+        return math.atan2(lorentz_dot(t, moved), lorentz_dot(n, moved))
+
+    @pytest.mark.parametrize("eta0, eps, steps", CASES)
+    def test_rotation_is_minus_the_enclosed_area(self, eta0, eps, steps):
+        line = LoopLine(eta0, eps)
+        expected = self.area_angle(eta0, eps)
+        h, gamma = 2.0 * math.pi / steps, math.cosh(eta0 + eps)
+        for s1, m in (
+            (0.0, thomas_rotation_general(line, 0.0, 2.0 * math.pi, step=h).matrix),
+            (1.0, transport_operator_numeric(line, 1.0, 1.0 + 2.0 * math.pi, step=h).matrix),
+        ):
+            n = sum(1 for _ in _steps(s1, s1 + 2.0 * math.pi, h))
+            bound = 1e-2 * h**4 * gamma**6 + n * np.finfo(float).eps * gamma**2
+            assert abs(_reduce_angle(self.angle_about_e3(line, s1, m) - expected)) <= bound
 
 
 class TestCircularGenerator:

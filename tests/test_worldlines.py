@@ -242,13 +242,13 @@ class TestTimeConversions:
         assert abs(line.initial_time_of_proper_time(s_period) - 1.25 * 2 * math.pi / 0.6) < 1e-10
 
     def test_initial_time_matches_generic_relation(self):
-        # independent oracle: the frame-time relation applied to the
-        # initial velocity, evaluated from positions alone
+        # independent oracle: the base-class frame clock applied to the initial
+        # velocity, evaluated from positions alone (the circular line's own
+        # clock is initial_time_of_proper_time itself)
         line = standard_line()
-        u0 = line.initial_velocity
+        forward, _ = WorldLine._frame_clock(line, line.initial_velocity)
         for s in np.linspace(0.0, 3.0 * line.proper_period, 17):
-            generic = frame_time_of_proper_time(u0, line, s)
-            assert abs(generic - line.initial_time_of_proper_time(s)) < 1e-10
+            assert abs(forward(s) - line.initial_time_of_proper_time(s)) < 1e-10
 
     def test_initial_frame_dilation_factor(self):
         line = standard_line()
