@@ -449,6 +449,28 @@ def selftest() -> int:
             err = float(np.max(np.abs(op - thomas_rotation_circular(line).matrix)))
             expect(err <= bound, f"the operator is {err} off the exact rotation at speed {speed}")
 
+    def exact_path():
+        # with no step a circular path is the exact transport: from a later start, on both
+        # sides of it, each state within rounding (64 eps |u0|^2 |z0|) of the one-point
+        # transport from s = 0; RK4 at the default step would lie about 1e-13 |u0|^2 off
+        from .transport import transport_circular_exact
+
+        centre = AbsoluteVelocity.from_3velocity([0.3, 0.0, 0.4])
+        for speed in (0.6, 0.9):
+            line = CircularWorldLine.from_plane(speed, 1.0, center_velocity=centre)
+            lam, period = line.lorentz_factor, line.proper_period
+            z0 = boost(line.initial_velocity, AbsoluteVelocity.rest())(
+                FourVector([0.0, 0.2, -0.5, 0.8]))
+            z1 = transport_circular_exact(line, z0, lam * 0.37 * period)
+            scale = float(np.max(np.abs(line.initial_velocity.components))) ** 2
+            bound = 64.0 * np.finfo(float).eps * scale * float(np.max(np.abs(z0.components)))
+            points = np.linspace(-0.5, 1.5, 9) * period
+            for state in transport_path(line, z1, points, s_start=0.37 * period):
+                exact = transport_circular_exact(line, z0, lam * state.s)
+                err = float(np.max(np.abs(state.z.components - exact.components)))
+                expect(err <= bound, f"the path is {err} off the exact transport at s = "
+                                     f"{state.s}, speed {speed}")
+
     def central_rate():
         from .precession import central_frame_precession
 
@@ -476,6 +498,7 @@ def selftest() -> int:
     check("coplanar chain is identity", coplanar_identity)
     check("numeric vs exact circular transport", circular_consistency)
     check("default step meets its error target", default_step_target)
+    check("path with no step is the exact transport", exact_path)
     check("central-frame precession rate", central_rate)
     check("initial-frame time round trip", time_round_trip)
     check("thomas angle extraction", thomas_angles)

@@ -314,7 +314,22 @@ def _elliptic_exp(m: np.ndarray, rate: float, t: float) -> np.ndarray:
     if rate == 0.0:
         return np.eye(4)
     ph = rate * t
-    return np.eye(4) + (math.sin(ph) / rate) * m + ((1.0 - math.cos(ph)) / rate ** 2) * (m @ m)
+    return _elliptic_of(m, rate, math.sin(ph), math.cos(ph))
+
+
+def _elliptic_rows(m: np.ndarray, rate: float, ts) -> np.ndarray:
+    # _elliptic_exp at each of the times ts as an [n, 4, 4] stack, libm's sin and cos per
+    # time; each slice equals the single call bit for bit (rate must be nonzero)
+    phases = [rate * t for t in ts]
+    si = np.array([math.sin(ph) for ph in phases])[:, None, None]
+    c = np.array([math.cos(ph) for ph in phases])[:, None, None]
+    return _elliptic_of(m, rate, si, c)
+
+
+def _elliptic_of(m: np.ndarray, rate: float, si, c) -> np.ndarray:
+    # I + (sin / rate) m + ((1 - cos) / rate^2) m^2, for the phase's sin and cos as floats
+    # or as [n, 1, 1] arrays
+    return np.eye(4) + (si / rate) * m + ((1.0 - c) / rate ** 2) * (m @ m)
 
 
 def antisymmetric_magnitude(generator: LorentzMap) -> float:

@@ -119,11 +119,12 @@ def precession_series(
     step: float | None = None,
     tol_drift: float | None = None,
 ) -> list[PrecessionSample]:
-    """Observe a numerically transported gyroscope on a grid of frame times.
+    """Observe a transported gyroscope on a grid of frame times.
 
-    ``z0`` must be gyroscopic at proper time 0.  One sequential transport
-    pass covers the grid (``step`` and ``tol_drift`` as in
-    :func:`transport_path`); each sample then gets the boosted vector and the
+    ``z0`` must be gyroscopic at proper time 0.  One :func:`transport_path`
+    call covers the grid, and takes its route (``step`` and ``tol_drift``
+    as there): with no step a circular line's states are exact, otherwise
+    RK4 integrates them.  Each sample then gets the boosted vector and the
     rate built from the relative velocity and acceleration at that
     instant.  Interior samples also carry the centered difference of the
     observed vector, so the precession law can be checked against the

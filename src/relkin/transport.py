@@ -7,8 +7,11 @@ Transport preserves orthogonality to the velocity, magnitudes and mutual
 angles.  Two independent routes are provided and cross-validate each
 other: a fixed-step RK4 propagator for any world line, and an exact
 operator for circular lines built from two commuting-plane rotation
-exponentials.  Restricting a closed-loop transport operator to the space
-vectors of the (equal) endpoint velocity yields the Thomas rotation.
+exponentials.  Path transport on a circular line with no step given
+returns the exact states; RK4 runs wherever a step is given and on every
+other line, and is the exact route's check.  Restricting a closed-loop
+transport operator to the space vectors of the (equal) endpoint velocity
+yields the Thomas rotation.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .minkowski import (
     LorentzMap,
     _carry_error,
     _elliptic_exp,
+    _elliptic_rows,
     _form_error,
     _mdot,
     _orthogonal,
@@ -191,13 +195,13 @@ def transport_numeric(
     s2: float,
     step: float | None = None,
 ) -> GyroState:
-    """Transport ``z0`` from proper time ``s1`` to ``s2`` by fixed-step RK4.
+    """Transport ``z0`` from proper time ``s1`` to ``s2``.
 
-    ``z0`` must be orthogonal to the velocity at ``s1``.  The default step
-    is the line's ``default_step`` (on circular lines the step whose
-    one-period error meets an error target at the line's speed, see
-    ``CircularWorldLine``; one exact step on inertial ones); global error is
-    fourth order in the step.
+    ``z0`` must be orthogonal to the velocity at ``s1``.  The route is that
+    of :func:`transport_path`: with no step, a circular line gets the exact
+    transport; otherwise fixed-step RK4 runs at ``step``, or at the line's
+    ``default_step`` (one exact step on inertial lines), and its global
+    error is fourth order in the step.
     """
     return transport_path(line, z0, [s2], s_start=s1, step=step)[0]
 
@@ -212,10 +216,15 @@ def transport_path(
 ) -> list[GyroState]:
     """Transport ``z0`` (gyroscopic at ``s_start``) to each of ``s_points``.
 
-    The points must be ascending.  One sequential integration pass runs
-    forward from ``s_start`` through the later points and one backward
-    through the earlier ones.  The step is resolved once for the call, and
-    both passes together may take at most ``MAX_STEPS`` steps.
+    The points must be ascending.  On a circular line with no step given,
+    the states are the exact transport of ``_circular_states``, one numpy
+    pass over all points.  Otherwise one sequential RK4 pass runs forward
+    from ``s_start`` through the later points and one backward through the
+    earlier ones, at ``step`` or the line's ``default_step``.  Either way
+    the step is resolved once for the call, the span may hold at most
+    ``MAX_STEPS`` steps of it, and every state must keep its orthogonality
+    to the velocity and its magnitude within ``tol_drift``
+    (``DriftViolation`` otherwise).
     """
     ss = [_finite_time(s) for s in s_points]
     s_start = _finite_time(s_start)
@@ -224,8 +233,23 @@ def transport_path(
     tol_drift = TOL.drift if tol_drift is None else tol_drift
     _require_gyroscopic(line._kinematics_arrays(s_start)[0], z0, f"at s = {s_start}")
     span = max(ss[-1], s_start) - min(ss[0], s_start) if ss else 0.0
+    exact = step is None and isinstance(line, CircularWorldLine)
     step = _resolve_step(line, span, step)
     norm0 = z0.norm()
+    if exact:
+        lam = line.lorentz_factor
+        # an overflow becomes the inf or NaN that the drift test rejects
+        with np.errstate(all="ignore"):
+            z = _circular_states(line, z0.components, lam * s_start, [lam * s for s in ss])
+            v = line._kinematics_block(ss)[:, 0].T
+            ortho = np.abs(_mdot(v, z.T))
+            mag = np.abs(np.sqrt(_mdot(z.T, z.T)) - norm0)  # NaN where z is timelike
+        bad = ~((ortho <= tol_drift) & (mag <= tol_drift))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DriftViolation(f"transport drift at s = {ss[k]}: velocity.z = {ortho[k]}, "
+                                 f"|z| drift = {mag[k]} (exact circular transport)")
+        return [GyroState(s, FourVector(zk)) for s, zk in zip(ss, z)]
     out: list[GyroState | None] = [None] * len(ss)
     first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
     for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
@@ -283,6 +307,25 @@ def circular_transport_generator(line: CircularWorldLine) -> LorentzMap:
     rate2 = line.angular_rate ** 2
     boost_part = wedge(line.center_velocity, line.radius_vector)
     return lam2 * line.angular_velocity + (lam2 * rate2) * boost_part
+
+
+def _circular_states(line: CircularWorldLine, z1: np.ndarray, t1: float, ts) -> np.ndarray:
+    """Exact transport of ``z1`` from center time ``t1`` to each of ``ts``, as [n, 4] rows.
+
+    z(t) = E_Om(t) E_A(t1 - t) E_Om(-t1) z1: the transport from 0 to t
+    (orbital exponential E_Om after the co-rotating one E_A of
+    ``circular_transport_generator``, at rate lorentz_factor * angular_rate)
+    composed with the inverse of the transport from 0 to t1.  The
+    exponentials of all points are built as one stack.  From t1 = 0 each
+    row is :func:`transport_circular_exact`'s product to rounding (the
+    tests pin the two within a few eps |z1|); that function keeps its own
+    single-point body, which is faster than a one-row stack.
+    """
+    om, rate = line.angular_velocity.matrix, line.angular_rate
+    w = _elliptic_exp(om, rate, -t1) @ z1
+    corotating = _elliptic_rows(circular_transport_generator(line).matrix,
+                                line.lorentz_factor * rate, [t1 - t for t in ts])
+    return (_elliptic_rows(om, rate, ts) @ (corotating @ w)[:, :, None])[:, :, 0]
 
 
 def transport_circular_exact(

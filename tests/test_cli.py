@@ -23,6 +23,7 @@ from relkin import (
 )
 from relkin import cli
 from relkin.cli import MAX_DEPTH, MAX_POINTS, emit_csv, main, run_scenario, selftest
+from relkin.transport import MAX_STEPS
 
 from helpers import parse_report, read_csv
 
@@ -615,6 +616,26 @@ class TestWorkBudget:
         assert len(err) == 1 and "more than the limit" in err[0]
 
     @pytest.mark.parametrize("kind", ["transport", "precess"])
+    def test_circular_span_past_the_default_step_budget_exits_3(self, kind, tmp_path, capsys):
+        # with no step a circular line is transported exactly, within the budget of its
+        # default step: unchecked, a span of 1e300 would answer with phases that have no
+        # significant digits
+        if kind == "transport":
+            text = COARSE_CIRCULAR_TRANSPORT.replace("s_max: 4.18879", "s_max: 1.0e300")
+            text = text.replace("step: 0.0837758\n", "")
+        else:
+            text = CIRCULAR_PRECESS.replace("t_max: 1.0", "t_max: 1.0e300")
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(text)
+        start = time.perf_counter()
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error code=3 kind=constraint ")
+        assert f"RK4 steps, more than the limit {MAX_STEPS}" in err[0]
+
+    @pytest.mark.parametrize("kind", ["transport", "precess"])
     @pytest.mark.parametrize("n", [10**12, 10**300, MAX_POINTS + 1],
                              ids=["1e12", "1e300", "MAX_POINTS+1"])
     def test_too_many_points_exits_3_before_allocating(self, kind, n, tmp_path, capsys):
@@ -736,6 +757,22 @@ def test_selftest_checks_the_operator_rk4():
     assert broken.returncode == 1
     assert broken.stdout.count("FAIL") == 1
     assert "FAIL default step meets its error target: the operator is " in broken.stdout
+
+
+def test_selftest_checks_the_exact_route():
+    # a path that runs RK4 at the default step where no step is given lies about 1e-13 off
+    # the exact transport; the other checks pass explicit steps, so only this one fails
+    broken = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import relkin.cli as c; path = c.transport_path; "
+         "c.transport_path = lambda line, z0, ss, s_start=0.0, step=None: "
+         "path(line, z0, ss, s_start, step or line.default_step); "
+         "raise SystemExit(c.selftest())"],
+        capture_output=True, text=True,
+    )
+    assert broken.returncode == 1
+    assert broken.stdout.count("FAIL") == 1
+    assert "FAIL path with no step is the exact transport: the path is " in broken.stdout
 
 
 def test_optimized_module_selftest_exits_0():

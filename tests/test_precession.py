@@ -32,6 +32,7 @@ from relkin import (
     rate_components,
     relative_acceleration,
     relative_velocity,
+    thomas_rotation_circular,
     transport_circular_exact,
     transport_path,
     wedge,
@@ -42,7 +43,7 @@ import relkin.precession as precession_module
 from relkin.boosts import _boost_matrix, _relative_acceleration, _relative_velocity
 from relkin.precession import PrecessionSample, _rate_matrix
 from relkin.transport import GyroState
-from relkin.worldlines import _invert_increasing
+from relkin.worldlines import _STEP_FIT, _invert_increasing
 from helpers import (DelegatingLine, HyperbolicLine, max_abs, random_spacelike_unit,
                      random_velocity)
 
@@ -580,6 +581,74 @@ def nine_dot_rate_components(rate, u, frame):
     # the reference formula: the full matrix fi . rate(fj), then three of its entries
     m = np.array([[lorentz_dot(fi, rate(fj)) for fj in frame] for fi in frame])
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
+class TestExactSeries:
+    """With no step a circular line's series observes the exact transport."""
+
+    @pytest.mark.parametrize("kind", ["rest", "boosted"])
+    @pytest.mark.parametrize("observer, top", [("center", 0.99), ("initial", 0.95),
+                                               ("explicit", 0.99)])
+    def test_rk4_series_is_within_its_error_of_the_exact_one(self, kind, observer, top):
+        # over 1.3 periods RK4 at P / n is within 1.3 (c h^4 + n eps gamma^2) |z0| of the exact
+        # series, with h = 1 / n, c = _STEP_FIT v^2 gamma^6 the default step's fit and gamma the
+        # largest relative Lorentz factor of carrier and observer (at most 0.26 of it measured);
+        # the rates depend on proper time alone, so they keep their bits
+        eps = np.finfo(float).eps
+        for speed in (0.3, 0.6, 0.9, top):
+            line = CIRCLES[kind](speed)
+            u = {"center": line.center_velocity, "initial": line.velocity(0.0),
+                 "explicit": EXPLICIT}[observer]
+            grid = np.linspace(0.0, frame_time_of_proper_time(u, line, 1.3 * line.proper_period),
+                               60)
+            z0 = gyro_of(line)
+            n = 8000 if speed > 0.95 else 4000
+            exact = precession_series(u, line, z0, grid)
+            rk4 = precession_series(u, line, z0, grid, step=line.proper_period / n)
+            gamma = max(-lorentz_dot(u, line.velocity(proper_time_of_frame_time(u, line, t)))
+                        for t in grid)
+            c = _STEP_FIT * speed**2 * line.lorentz_factor**6
+            bound = 1.3 * (c / n**4 + n * eps * gamma**2) * max_abs(z0.components)
+            for got, want in zip(rk4, exact):
+                assert max_abs(got.z.components - want.z.components) <= bound
+                assert got.rate.matrix.tobytes() == want.rate.matrix.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rest", "boosted"])
+    @pytest.mark.parametrize("speed", [0.3, 0.6, 0.9, 0.99])
+    def test_centre_frame_sees_the_central_rate(self, kind, speed):
+        # the observed needle turns at the constant (1 - gamma) Om: z(t) = exp(t rate) z(0)
+        line = CIRCLES[kind](speed)
+        uc, central = line.center_velocity, central_frame_precession(line)
+        period_t = frame_time_of_proper_time(uc, line, line.proper_period)
+        samples = precession_series(uc, line, gyro_of(line), np.linspace(0.0, 2.5 * period_t, 41))
+        bound = 1e-13 * line.lorentz_factor**2
+        for sample in samples:
+            turned = exp_map(central, sample.t)(samples[0].z)
+            assert max_abs(sample.z.components - turned.components) <= bound * max_abs(
+                samples[0].z.components)
+            assert max_abs(sample.rate.matrix - central.matrix) <= bound * max(
+                1.0, max_abs(central.matrix))
+
+    @pytest.mark.parametrize("kind", ["rest", "boosted"])
+    @pytest.mark.parametrize("speed", [0.3, 0.6, 0.9, 0.95])
+    def test_initial_frame_sees_the_thomas_rotation_at_its_special_instants(self, kind, speed):
+        # at the n-th aligned instant the carrier is at rest in its initial frame, so the
+        # observed needle is the transported one: n Thomas rotations of z0, at rate zero; at
+        # the opposed instants the rate is the closed form
+        line = CIRCLES[kind](speed)
+        z0 = gyro_of(line)
+        pairs = [initial_frame_special_instants(line, n) for n in (1, 2, 3)]
+        grid = [0.0] + [t for p in pairs for t in (p.odd.frame_time, p.even.frame_time)]
+        samples = precession_series(line.velocity(0.0), line, z0, grid)
+        thomas = thomas_rotation_circular(line).matrix
+        bound = 1e-13 * line.lorentz_factor**2
+        for n, pair in enumerate(pairs, 1):
+            odd, even = samples[2 * n - 1], samples[2 * n]
+            turned = np.linalg.matrix_power(thomas, n) @ z0.components
+            assert max_abs(even.z.components - turned) <= bound * max_abs(z0.components)
+            assert max_abs(even.rate.matrix) <= bound
+            assert max_abs(odd.rate.matrix - pair.odd.rate.matrix) <= bound * max(
+                1.0, max_abs(pair.odd.rate.matrix))
 
 
 class TestRateComponents:

@@ -36,9 +36,9 @@ from relkin import (
     wedge,
 )
 
-from relkin.transport import (_BLOCK, MAX_STEPS, _generators, _reduce_angle, _rk4_operator,
-                              _steps)
-from relkin.worldlines import _STEP_TARGET
+from relkin.transport import (_BLOCK, MAX_STEPS, _circular_states, _generators, _reduce_angle,
+                              _rk4_operator, _steps)
+from relkin.worldlines import _STEP_FIT, _STEP_TARGET
 
 from helpers import (DelegatingLine, HyperbolicLine, LoopLine, max_abs,
                      random_spacelike_unit, random_velocity)
@@ -277,7 +277,8 @@ class TestFloatLoopBitIdentity:
         # points on both sides of s_start: one forward and one backward pass
         offsets = np.concatenate([[-0.1, 0.12], rng.uniform(-0.15, 0.2, size=3)])
         points = np.sort(s_start + period * offsets)
-        step = period / rng.uniform(600.0, 1200.0) if step_kind == "explicit" else None
+        # the line's default step given explicitly: with no step a circular line is exact
+        step = period / rng.uniform(600.0, 1200.0) if step_kind == "explicit" else line.default_step
         got = [(st.s, st.z.components.tobytes())
                for st in transport_path(line, z0, points, s_start=s_start, step=step)]
         assert got == numpy_reference_path(line, z0, points, s_start=s_start, step=step)
@@ -323,13 +324,18 @@ class TestLineDefaultStep:
         assert steps == max(256, math.ceil((40.0 * speed**2 * gamma**6 / 1e-13) ** 0.25))
 
     def test_circular_default_equals_explicit_step(self):
+        # step=line.default_step is RK4 at P / 14743; no step is the exact route
         line = standard_line(0.9, 1.0)
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
         points = np.linspace(0.0, 0.3 * line.proper_period, 7)
-        default = transport_path(line, z0, points)
+        default = transport_path(line, z0, points, step=line.default_step)
         explicit = transport_path(line, z0, points, step=line.proper_period / 14743)
         assert [s.z.components.tobytes() for s in default] == \
             [s.z.components.tobytes() for s in explicit]
+        lam = line.lorentz_factor
+        exact = _circular_states(line, z0.components, 0.0, [lam * s for s in points])
+        assert [s.z.components.tobytes() for s in transport_path(line, z0, points)] == \
+            [z.tobytes() for z in exact]
 
     def test_inertial_default_equals_explicit_step(self):
         line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.5]))
@@ -359,11 +365,107 @@ class TestLineDefaultStep:
         assert len(calls) <= 3 * n + 1
 
     def test_transport_reads_the_step_from_the_line(self):
-        line = standard_line(0.9, 1.0)
-        line.default_step = line.proper_period / 8
-        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        # a line without a closed form: its class step of 1e-3 passes, an instance's 0.5 drifts
+        line = HyperbolicLine(1.0)
+        transport_numeric(line, E1, 0.0, 3.0)
+        line.default_step = 0.5
         with pytest.raises(DriftViolation, match=f"step {line.default_step} too large"):
-            transport_numeric(line, z0, 0.0, 3.0 * line.proper_period)
+            transport_numeric(line, E1, 0.0, 3.0)
+
+
+EXACT_CENTRES = {"rest": None, "moving": AbsoluteVelocity.from_3velocity([0.3, 0.0, 0.4])}
+
+
+class NanVelocityLine(CircularWorldLine):
+    """Circular line whose velocity turns NaN from proper time 1 on."""
+
+    def _kinematics_arrays(self, s):
+        rdot, rddot = CircularWorldLine._kinematics_arrays(self, s)
+        return (rdot if s < 1.0 else (math.nan,) * 4), rddot
+
+
+class TestExactRoute:
+    """With no step a circular line's path is the exact transport; RK4 is its check."""
+
+    @staticmethod
+    def orbit(speed, centre, start=0.0):
+        # the line, and a needle gyroscopic at s_start = start * proper period
+        line = CircularWorldLine.from_plane(speed / 1.3, 1.3,
+                                            center_velocity=EXACT_CENTRES[centre])
+        s_start = start * line.proper_period
+        z0 = random_spacelike_unit(np.random.default_rng(3300), line.velocity(s_start)) * 1.5
+        return line, z0, s_start
+
+    @pytest.mark.parametrize("centre", sorted(EXACT_CENTRES))
+    @pytest.mark.parametrize("speed", [0.1, 0.6, 0.9, 0.99])
+    def test_matches_transport_circular_exact_from_zero(self, speed, centre):
+        # both passes, each state within 4 eps of its size (equal bits measured): the stacked
+        # rows and transport_circular_exact's one-point body are pinned to each other here
+        line, z0, _ = self.orbit(speed, centre)
+        period, lam = line.proper_period, line.lorentz_factor
+        points = period * np.array([-2.0, -0.3, -0.1, 0.0, 0.05, 0.4, 0.75, 1.2, 5.0])
+        states = transport_path(line, z0, points)
+        assert [st.s for st in states] == points.tolist()
+        for st in states:
+            exact = transport_circular_exact(line, z0, lam * st.s).components
+            assert max_abs(st.z.components - exact) <= 4.0 * np.finfo(float).eps * max_abs(exact)
+        assert transport_path(line, z0, []) == []
+
+    @pytest.mark.parametrize("centre", sorted(EXACT_CENTRES))
+    @pytest.mark.parametrize("speed", [0.3, 0.6, 0.9, 0.99])
+    def test_is_the_limit_of_the_numpy_reference_from_a_later_start(self, speed, centre):
+        # from s_start = 0.37 P to points on both sides, 1.5 periods in all: RK4 at P / n is
+        # within 1.5 (c h^4 + n eps) |u0|^2 |z0| of the exact states, with h = 1 / n and
+        # c = _STEP_FIT v^2 gamma^6 the default step's fit (at most 0.2 of it measured); where
+        # discretisation dominates, halving the step divides the distance by about 2^4
+        line, z0, s_start = self.orbit(speed, centre, start=0.37)
+        period, lam = line.proper_period, line.lorentz_factor
+        points = period * np.array([-0.3, -0.05, 0.37, 0.6, 1.2])
+        exact = np.array([st.z.components for st in transport_path(line, z0, points, s_start)])
+        scale = max_abs(line.initial_velocity.components) ** 2 * max_abs(z0.components)
+        eps = np.finfo(float).eps
+        errors = []
+        for n in (2000, 4000):
+            ref = numpy_reference_path(line, z0, points, s_start=s_start, step=period / n)
+            err = max_abs(np.array([np.frombuffer(z) for _, z in ref]) - exact)
+            assert err <= 1.5 * (_STEP_FIT * speed**2 * lam**6 / n**4 + n * eps) * scale
+            errors.append(err)
+        if speed >= 0.9:
+            assert errors[0] >= 12.0 * errors[1]
+
+    def test_takes_the_gyroscopic_check(self):
+        # the default step's budget: TestStepBudget.test_default_step_over_a_long_span_is_refused
+        line, _, _ = self.orbit(0.6, "rest")
+        with pytest.raises(ConstraintViolation, match="orthogonal to the velocity at s = 0.0"):
+            transport_path(line, E2, [1.0])  # along the initial velocity's space part
+
+    def test_every_state_passes_the_drift_test(self):
+        line, z0, _ = self.orbit(0.6, "moving")
+        points = np.linspace(0.0, 2.0 * line.proper_period, 9)
+        with pytest.raises(DriftViolation, match=r"transport drift at s = 0\.0: .*exact circular"):
+            transport_path(line, z0, points, tol_drift=0.0)
+        # a NaN velocity fails the test at the first state that reads it
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(DriftViolation, match=r"at s = 1\.25: velocity\.z = nan"):
+            transport_path(NanVelocityLine.from_plane(0.6, 1.0), z0, [0.5, 1.25, 2.0])
+
+    def test_route_is_chosen_by_the_line(self):
+        # a CircularWorldLine subclass with its own scalar kinematics takes the exact route,
+        # a line that only delegates to one runs RK4 at the default step
+        class TimedCircular(CircularWorldLine):
+            def _kinematics_arrays(self, s):
+                return CircularWorldLine._kinematics_arrays(self, s)
+
+        line, z0, _ = self.orbit(0.9, "moving")
+        points = np.linspace(-0.2, 0.3, 6) * line.proper_period
+        exact = [st.z.components.tobytes() for st in transport_path(line, z0, points)]
+        sub = TimedCircular(line.center_velocity, line.angular_velocity, line.radius_vector)
+        assert [st.z.components.tobytes() for st in transport_path(sub, z0, points)] == exact
+        rk4 = transport_path(line, z0, points, step=line.default_step)
+        delegated = transport_path(DelegatingLine(line), z0, points)
+        assert [st.z.components.tobytes() for st in delegated] == \
+            [st.z.components.tobytes() for st in rk4]
+        assert exact != [st.z.components.tobytes() for st in rk4]
 
 
 class TestDefaultStepCalibration:
@@ -458,10 +560,11 @@ class TestStepBudget:
         z0 = FourVector([0.0, 1.0, 0.0, 0.0])
         period = line.proper_period
         points = np.linspace(0.0, 2.0 * period, 400)
-        states = transport_path(line, z0, points)
+        step = line.default_step  # RK4: with no step the circular line is exact
+        states = transport_path(line, z0, points, step=step)
         z, cur = z0, 0.0
         for state, s in zip(states, points):
-            z = transport_numeric(line, z, cur, s).z
+            z = transport_numeric(line, z, cur, s, step=step).z
             cur = s
             assert state.z.components.tobytes() == z.components.tobytes()
 
