@@ -188,6 +188,20 @@ class LorentzMap:
         return f"{type(self).__name__}({np.array2string(self.matrix, precision=6)})"
 
 
+def _vector(components: np.ndarray) -> FourVector:
+    # a FourVector of checked, read-only components, without the constructor's copy and checks
+    out = FourVector.__new__(FourVector)
+    out.components = components
+    return out
+
+
+def _map(matrix: np.ndarray) -> LorentzMap:
+    # a LorentzMap of a checked, read-only matrix, without the constructor's copy and checks
+    out = LorentzMap.__new__(LorentzMap)
+    out.matrix = matrix
+    return out
+
+
 def lorentz_dot(x: FourVector, y: FourVector) -> float:
     """Lorentz product -x0*y0 + x1*y1 + x2*y2 + x3*y3.
 

@@ -30,9 +30,11 @@ from .minkowski import (
     AbsoluteVelocity,
     FourVector,
     LorentzMap,
+    _map,
     _mdot,
     _orthogonal,
     _rows,
+    _vector,
     _wedge,
     orthonormal_spatial_frame,
     wedge,
@@ -161,20 +163,6 @@ def precession_series(
     for sample, zd in zip(samples[1:-1], z_dot):
         sample.z_dot = _vector(zd)
     return samples
-
-
-def _vector(components: np.ndarray) -> FourVector:
-    # a FourVector of checked, read-only components, without the constructor's checks
-    out = FourVector.__new__(FourVector)
-    out.components = components
-    return out
-
-
-def _map(matrix: np.ndarray) -> LorentzMap:
-    # a LorentzMap of a checked, read-only matrix, without the constructor's checks
-    out = LorentzMap.__new__(LorentzMap)
-    out.matrix = matrix
-    return out
 
 
 def _raise_first_failure(w, line, states, ts, z, ok, ok_dot) -> NoReturn:

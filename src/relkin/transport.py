@@ -9,9 +9,10 @@ other: a fixed-step RK4 propagator for any world line, and an exact
 operator for circular lines built from two commuting-plane rotation
 exponentials.  Path transport on a circular line with no step given
 returns the exact states; RK4 runs wherever a step is given and on every
-other line, and is the exact route's check.  Restricting a closed-loop
-transport operator to the space vectors of the (equal) endpoint velocity
-yields the Thomas rotation.
+other line, and is the exact route's check.  RK4 is one engine, whose step
+maps serve operators and vectors alike; one drift test checks either route.
+Restricting a closed-loop transport operator to the space vectors of the
+(equal) endpoint velocity yields the Thomas rotation.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .minkowski import (
     _mdot,
     _orthogonal,
     _rows,
+    _vector,
     _wedge,
     wedge,
 )
@@ -52,14 +54,16 @@ class GyroState:
 #: Most RK4 steps one integration call may take; asking for more is an input error.
 MAX_STEPS = 10**8
 
-#: RK4 steps of the operator path whose kinematics and generators are built in one pass
+#: RK4 steps whose kinematics, generators and step maps are built in one pass
 _BLOCK = 512
 
 
 def fermi_walker_derivative(line: WorldLine, s: float, z: FourVector) -> FourVector:
     """Right-hand side of the transport equation at proper time ``s``."""
     v, a = line._kinematics_arrays(_finite_time(s))
-    return FourVector(_fw(v, a, *z.components.tolist()))
+    z = z.components.tolist()
+    p, q = _mdot(a, z), _mdot(v, z)  # v (a . z) - a (v . z)
+    return FourVector([vi * p - ai * q for vi, ai in zip(v, a)])
 
 
 def _resolve_step(line: WorldLine, span: float, step: float | None) -> float:
@@ -74,15 +78,6 @@ def _resolve_step(line: WorldLine, span: float, step: float | None) -> float:
             f"RK4 steps, more than the limit {MAX_STEPS}"
         )
     return float(step)
-
-
-def _fw(v, a, z0: float, z1: float, z2: float, z3: float) -> tuple[float, float, float, float]:
-    # v (a . z) - a (v . z) for 4-float velocity and acceleration
-    v0, v1, v2, v3 = v
-    a0, a1, a2, a3 = a
-    p = -a0 * z0 + a1 * z1 + a2 * z2 + a3 * z3
-    q = -v0 * z0 + v1 * z1 + v2 * z2 + v3 * z3
-    return v0 * p - a0 * q, v1 * p - a1 * q, v2 * p - a2 * q, v3 * p - a3 * q
 
 
 def _generators(k: np.ndarray) -> np.ndarray:
@@ -109,76 +104,73 @@ def _steps(s1: float, s2: float, step: float):
         yield s, h
 
 
-def _rk4_vector(line: WorldLine, z: tuple, s1: float, s2: float, step: float,
-                norm0: float, tol: float) -> tuple:
-    """Classical fixed-step RK4 for a gyroscopic vector held as four floats.
+def _step_maps(line: WorldLine, s: float, points, step: float):
+    """The RK4 step maps from ``s`` through each of ``points`` in turn, a block at a time.
 
-    The arithmetic is the numpy form y + (h/6) (k1 + 2 (k2 + k3) + k4)
-    written out per component in the same order, so the result is the
-    same to the last bit.  DriftViolation is raised as soon as the
-    vector's orthogonality to the velocity or its magnitude drifts beyond
-    ``tol`` (drift is monitored, never silently corrected).
+    dm/ds = w(s) m is linear, for a transport operator or one vector m, so a
+    step is m + D m with D = (h/6) (K1 + 2 (K2 + K3) + K4), K1 = w_lo, K2 =
+    w_mid + (0.5 h) w_mid K1, K3 = w_mid + (0.5 h) w_mid K2 and K4 = w_hi +
+    h w_hi K3.  The legs' ``_steps`` are chained and read ``_BLOCK`` steps at
+    a time: one kinematics block and one generator pass cover the mid and
+    end points, one stacked numpy pass builds the maps.  K1, the generator at
+    the step's start, is the previous step's end generator, bit for bit, but
+    a leg's first step evaluates its start, in one block of the leg starts.
+    Each block yields its steps (s, h, k), k the leg's index into ``points``
+    on its first step and None after, their end times, the [n, 4] velocities
+    there and the [n, 4, 4] maps.  Stacked and single 4x4 ``@`` give each
+    slice the same bits, which the ``circular-thomas`` golden records.
     """
-    kin = line._kinematics_arrays
-    y0, y1, y2, y3 = z
-    v_lo, a_lo = kin(s1)
-    for s, h in _steps(s1, s2, step):
-        v_mid, a_mid = kin(s + 0.5 * h)
-        v_hi, a_hi = kin(s + h)
-        hh = 0.5 * h
-        k10, k11, k12, k13 = _fw(v_lo, a_lo, y0, y1, y2, y3)
-        k20, k21, k22, k23 = _fw(v_mid, a_mid,
-                                 y0 + hh * k10, y1 + hh * k11, y2 + hh * k12, y3 + hh * k13)
-        k30, k31, k32, k33 = _fw(v_mid, a_mid,
-                                 y0 + hh * k20, y1 + hh * k21, y2 + hh * k22, y3 + hh * k23)
-        k40, k41, k42, k43 = _fw(v_hi, a_hi,
-                                 y0 + h * k30, y1 + h * k31, y2 + h * k32, y3 + h * k33)
-        h6 = h / 6.0
-        y0 = y0 + h6 * (k10 + 2.0 * (k20 + k30) + k40)
-        y1 = y1 + h6 * (k11 + 2.0 * (k21 + k31) + k41)
-        y2 = y2 + h6 * (k12 + 2.0 * (k22 + k32) + k42)
-        y3 = y3 + h6 * (k13 + 2.0 * (k23 + k33) + k43)
-        v_lo, a_lo = v_hi, a_hi
-        w0, w1, w2, w3 = v_hi
-        ortho = abs(-w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3)
-        sq = -y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
-        # a timelike (or NaN) z has no magnitude: a NaN drift, which fails the check
-        mag = abs(math.sqrt(sq) - norm0) if sq >= 0.0 else math.nan
-        if not (ortho <= tol and mag <= tol):
-            raise DriftViolation(
-                f"transport drift at s = {s + h}: velocity.z = {ortho}, |z| drift = {mag} "
-                f"(step {step} too large)"
-            )
-    return y0, y1, y2, y3
+    def chain(s):
+        for k, p in enumerate(points):
+            for s_k, h in _steps(s, p, step):
+                yield s_k, h, k
+                k = None  # only a leg's first step carries its index
+            s = p
 
-
-def _rk4_operator(line: WorldLine, m: np.ndarray, s1: float, s2: float, step: float) -> np.ndarray:
-    """Classical fixed-step RK4 for a transport operator, dm/ds = w(s) m.
-
-    The equation is linear, so each step is m + D m with D = (h/6) (K1 +
-    2 (K2 + K3) + K4), K1 = w_lo, K2 = w_mid + (0.5 h) w_mid K1, K3 = w_mid +
-    (0.5 h) w_mid K2 and K4 = w_hi + h w_hi K3.  The schedule is read
-    ``_BLOCK`` steps at a time: one kinematics block and one generator pass
-    cover the mid and end points of those steps, and one stacked numpy pass
-    builds their maps D.  Stacked and single 4x4 ``@`` give each slice the
-    same bits, which the ``circular-thomas`` golden records.
-    """
-    m = np.array(m, dtype=float)
-    (w_lo,) = _generators(line._kinematics_block([s1]))
-    schedule = _steps(s1, s2, step)
+    schedule = chain(s)
+    w_end = np.zeros((1, 4, 4))  # the generator at the previous step's end point
     while block := list(islice(schedule, _BLOCK)):
-        w = _generators(line._kinematics_block(
-            [p for s, h in block for p in (s + 0.5 * h, s + h)]))
-        w_mid, w_hi = w[0::2], w[1::2]
-        h = np.array([h for _, h in block])[:, None, None]
-        k1 = np.concatenate((w_lo[None], w_hi[:-1]))
+        first = [j for j, (_, _, k) in enumerate(block) if k is not None]
+        kin_first = (line._kinematics_block([block[j][0] for j in first]) if first
+                     else np.empty((0, 2, 4)))
+        times = [t for s, h, _ in block for t in (s + 0.5 * h, s + h)]  # mid and end points
+        kin = line._kinematics_block(times)
+        w = _generators(np.concatenate((kin_first, kin)))
+        n = len(first)
+        w_mid, w_hi = w[n::2], w[n + 1::2]
+        k1 = np.concatenate((w_end, w_hi[:-1]))
+        k1[first] = w[:n]
+        h = np.array([h for _, h, _ in block])[:, None, None]
         k2 = w_mid + (0.5 * h) * (w_mid @ k1)
         k3 = w_mid + (0.5 * h) * (w_mid @ k2)
         k4 = w_hi + h * (w_hi @ k3)
-        for d in (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4):
-            m = m + d @ m
-        w_lo = w_hi[-1]
+        yield block, times[1::2], kin[1::2, 0], (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        w_end = w_hi[-1:]
+
+
+def _rk4_operator(line: WorldLine, m: np.ndarray, s1: float, s2: float, step: float) -> np.ndarray:
+    """Classical fixed-step RK4 for a transport operator: m + D m for each map D of
+    ``_step_maps``, on a float copy of ``m``."""
+    m = np.array(m, dtype=float)
+    for *_, d in _step_maps(line, s1, [s2], step):
+        for dk in d:
+            m = m + dk @ m
     return m
+
+
+def _require_drift(ss, z, v, norm0: float, tol: float, route: str) -> None:
+    """DriftViolation at the first row of states ``z`` that leaves orthogonality to
+    its velocity row of ``v``, or the magnitude ``norm0``, by more than ``tol``.
+
+    Drift is monitored, never corrected; a timelike or NaN state fails.  Row k
+    is at proper time ``ss[k]``.  Run under ``np.errstate(all="ignore")``."""
+    ortho = np.abs(_mdot(v.T, z.T))
+    mag = np.abs(np.sqrt(_mdot(z.T, z.T)) - norm0)
+    bad = ~((ortho <= tol) & (mag <= tol))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DriftViolation(f"transport drift at s = {ss[k]}: velocity.z = {ortho[k]}, "
+                             f"|z| drift = {mag[k]} ({route})")
 
 
 def _require_gyroscopic(rdot, z0: FourVector, where: str) -> None:
@@ -220,11 +212,11 @@ def transport_path(
     the states are the exact transport of ``_circular_states``, one numpy
     pass over all points.  Otherwise one sequential RK4 pass runs forward
     from ``s_start`` through the later points and one backward through the
-    earlier ones, at ``step`` or the line's ``default_step``.  Either way
-    the step is resolved once for the call, the span may hold at most
-    ``MAX_STEPS`` steps of it, and every state must keep its orthogonality
-    to the velocity and its magnitude within ``tol_drift``
-    (``DriftViolation`` otherwise).
+    earlier ones, at ``step`` or the line's ``default_step``, z + D z for
+    each map D of ``_step_maps``.  Either way the step is resolved once for
+    the call, the span may hold at most ``MAX_STEPS`` steps of it, and every
+    state, each RK4 step's or each point's, must keep its orthogonality to
+    the velocity and its magnitude within ``tol_drift`` (``DriftViolation``).
     """
     ss = [_finite_time(s) for s in s_points]
     s_start = _finite_time(s_start)
@@ -236,29 +228,31 @@ def transport_path(
     exact = step is None and isinstance(line, CircularWorldLine)
     step = _resolve_step(line, span, step)
     norm0 = z0.norm()
-    if exact:
-        lam = line.lorentz_factor
-        # an overflow becomes the inf or NaN that the drift test rejects
-        with np.errstate(all="ignore"):
+    # an overflow becomes the inf or NaN that the drift test rejects
+    with np.errstate(all="ignore"):
+        if exact:
+            lam = line.lorentz_factor
             z = _circular_states(line, z0.components, lam * s_start, [lam * s for s in ss])
-            v = line._kinematics_block(ss)[:, 0].T
-            ortho = np.abs(_mdot(v, z.T))
-            mag = np.abs(np.sqrt(_mdot(z.T, z.T)) - norm0)  # NaN where z is timelike
-        bad = ~((ortho <= tol_drift) & (mag <= tol_drift))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise DriftViolation(f"transport drift at s = {ss[k]}: velocity.z = {ortho[k]}, "
-                                 f"|z| drift = {mag[k]} (exact circular transport)")
-        return [GyroState(s, FourVector(zk)) for s, zk in zip(ss, z)]
-    out: list[GyroState | None] = [None] * len(ss)
-    first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
-    for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
-        z, cur = tuple(z0.components.tolist()), s_start
-        for i in order:
-            z = _rk4_vector(line, z, cur, ss[i], step, norm0, tol_drift)
-            cur = ss[i]
-            out[i] = GyroState(cur, FourVector(z))
-    return out  # type: ignore[return-value]
+            _require_drift(ss, z, line._kinematics_block(ss)[:, 0], norm0, tol_drift,
+                           "exact circular transport")
+        else:
+            first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
+            passes = []
+            for points in (ss[first_fwd:], ss[:first_fwd][::-1]):
+                z, at = z0.components, []  # at: the state at each point passed
+                for block, ends, v, d in _step_maps(line, s_start, points, step):
+                    zs = []
+                    for (_, _, k), dk in zip(block, d):
+                        if k is not None:  # leg k starts: the points before it are passed
+                            at += [z] * (k - len(at))
+                        z = z + dk @ z
+                        zs.append(z)
+                    _require_drift(ends, np.array(zs), v, norm0, tol_drift,
+                                   f"step {step} too large")
+                passes.append(at + [z] * (len(points) - len(at)))
+            z = np.array(passes[1][::-1] + passes[0]).reshape(-1, 4)
+    z.setflags(write=False)
+    return [GyroState(s, _vector(zk)) for s, zk in zip(ss, z)]
 
 
 def transport_operator_numeric(

@@ -746,7 +746,8 @@ def test_selftest_catches_a_coarse_default_step():
 
 def test_selftest_checks_the_operator_rk4():
     # an operator RK4 at three times the default step is 3^4 times further off the
-    # exact Thomas rotation; the vector RK4 is untouched, so only the operator fails
+    # exact Thomas rotation; vector paths apply the shared step maps without going
+    # through _rk4_operator, so only the operator check fails
     broken = subprocess.run(
         [sys.executable, "-O", "-c",
          "import relkin.cli as c, relkin.transport as t; rk4 = t._rk4_operator; "

@@ -46,7 +46,7 @@ def test_only_the_kept_settings_remain():
 #: private functions that take a tolerance: the callers of each need different values
 PRIVATE_KEPT = {
     ("_orthogonal", "tol"),             # TOL.constraint, and TOL.drift when observing
-    ("_rk4_vector", "tol"),             # the caller's tol_drift
+    ("_require_drift", "tol"),          # the caller's tol_drift, for RK4 and exact states
     ("run_scenario", "tol"),            # the CLI's --tol, down to the runners
     ("_run_boost_compose", "tol"),
     ("_run_circular_thomas", "tol"),

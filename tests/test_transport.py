@@ -176,13 +176,52 @@ def _mdot(a, b):
     return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-def numpy_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
-    """transport_path on numpy arrays: the reference the float loop must match.
+def _reference_drift(s, v, z, norm0, tol, h_step):
+    # the per-step drift test of the references, on floats, in the order of transport_path's
+    ortho = abs(_mdot(v, z))
+    sq = _mdot(z, z)
+    mag = abs(math.sqrt(sq) - norm0) if sq >= 0.0 else math.nan
+    if not (ortho <= tol and mag <= tol):
+        raise DriftViolation(f"transport drift at s = {s}: velocity.z = {ortho}, "
+                             f"|z| drift = {mag} (step {h_step} too large)")
 
-    Kinematics come from the public velocity()/acceleration() arrays, the
-    state is a 4-element array, and every expression is the array form
-    that the float loop writes out per component, so the two must agree
-    bit for bit.
+
+def _reference_passes(ss, s_start):
+    # the point indices of the forward pass from s_start, then those of the backward pass
+    first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
+    return range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)
+
+
+def map_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
+    """transport_path's RK4 route one step map at a time: its bit oracle.
+
+    Each leg between consecutive points of a pass runs ``per_step_maps``
+    from its own start, z + D z per step, and tests the drift of every
+    step's state on floats, so states and drift messages must agree with
+    the block route bit for bit.
+    """
+    h_step = line.default_step if step is None else float(step)
+    ss = [float(s) for s in s_points]
+    norm0 = z0.norm()
+    out = [None] * len(ss)
+    for order in _reference_passes(ss, s_start):
+        z, cur = z0.components, s_start
+        for i in order:
+            for s, d in per_step_maps(line, cur, ss[i], h_step):
+                z = z + d @ z
+                _reference_drift(s, line._kinematics_arrays(s)[0], z, norm0, tol, h_step)
+            cur = ss[i]
+            out[i] = (cur, z.tobytes())
+    return out
+
+
+def numpy_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
+    """transport_path's RK4 route in the classical stage form: its tolerance oracle.
+
+    Kinematics come from the public velocity()/acceleration() arrays and
+    the state is a 4-element array stepped by the stages k1..k4.  The route
+    applies the step maps instead, which regroup this arithmetic, so the two
+    differ by rounding alone (``TestStagesBoundThePath``).
     """
 
     def kin(s):
@@ -216,22 +255,14 @@ def numpy_reference_path(line, z0, s_points, s_start=0.0, step=None, tol=1e-8):
             y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             s += h
             f_lo = f_hi
-            ortho = abs(_mdot(f_hi[0], y))
-            sq = _mdot(y, y)
-            mag = abs(math.sqrt(sq) - norm0) if sq >= 0.0 else math.nan
-            if not (ortho <= tol and mag <= tol):
-                raise DriftViolation(
-                    f"transport drift at s = {s}: velocity.z = {ortho}, |z| drift = {mag} "
-                    f"(step {h_step} too large)"
-                )
+            _reference_drift(s, f_hi[0], y, norm0, tol, h_step)
         return y
 
     h_step = line.default_step if step is None else float(step)
     ss = [float(s) for s in s_points]
     norm0 = z0.norm()
     out = [None] * len(ss)
-    first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
-    for order in (range(first_fwd, len(ss)), range(first_fwd - 1, -1, -1)):
+    for order in _reference_passes(ss, s_start):
         z, cur = z0.components.copy(), s_start
         for i in order:
             z = rk4(z, cur, ss[i], h_step, norm0)
@@ -253,8 +284,21 @@ def _seeded_orbit(rng, boosted):
     return line, z0, s_start
 
 
-class TestFloatLoopBitIdentity:
-    """transport_path equals the numpy vector RK4 with exact ==, drift messages included."""
+def _seeded_path(seed, step_kind):
+    # a seeded orbit with points on both sides of s_start, so one forward and one backward
+    # pass; the line's default step given explicitly: with no step a circular line is exact
+    rng = np.random.default_rng(3100 + seed)
+    line, z0, s_start = _seeded_orbit(rng, boosted=seed % 2 == 1)
+    period = line.proper_period
+    offsets = np.concatenate([[-0.1, 0.12], rng.uniform(-0.15, 0.2, size=3)])
+    points = np.sort(s_start + period * offsets)
+    step = period / rng.uniform(600.0, 1200.0) if step_kind == "explicit" else line.default_step
+    return line, z0, s_start, points, step
+
+
+class TestPathBitIdentity:
+    """transport_path's RK4 route equals the per-step map reference with exact ==,
+    drift messages included."""
 
     def test_timelike_needle_is_a_drift(self):
         # at speed 0.82 one step over about two orbits turns the needle timelike: a
@@ -265,35 +309,31 @@ class TestFloatLoopBitIdentity:
         with pytest.raises(DriftViolation, match=r"\|z\| drift = nan") as got:
             transport_numeric(line, z0, 0.0, 12.94911807546774, step=9.10453044118172)
         with pytest.raises(DriftViolation) as expected:
-            numpy_reference_path(line, z0, [12.94911807546774], step=9.10453044118172)
+            map_reference_path(line, z0, [12.94911807546774], step=9.10453044118172)
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("step_kind", ["explicit", "default"])
-    def test_matches_numpy_reference(self, seed, step_kind):
-        rng = np.random.default_rng(3100 + seed)
-        line, z0, s_start = _seeded_orbit(rng, boosted=seed % 2 == 1)
-        period = line.proper_period
-        # points on both sides of s_start: one forward and one backward pass
-        offsets = np.concatenate([[-0.1, 0.12], rng.uniform(-0.15, 0.2, size=3)])
-        points = np.sort(s_start + period * offsets)
-        # the line's default step given explicitly: with no step a circular line is exact
-        step = period / rng.uniform(600.0, 1200.0) if step_kind == "explicit" else line.default_step
+    def test_matches_the_map_reference(self, seed, step_kind):
+        line, z0, s_start, points, step = _seeded_path(seed, step_kind)
         got = [(st.s, st.z.components.tobytes())
                for st in transport_path(line, z0, points, s_start=s_start, step=step)]
-        assert got == numpy_reference_path(line, z0, points, s_start=s_start, step=step)
+        assert got == map_reference_path(line, z0, points, s_start=s_start, step=step)
 
-    def test_inertial_line_matches_numpy_reference(self):
+    def test_inertial_line_matches_the_map_reference(self):
         line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.5]))
         z0 = random_spacelike_unit(np.random.default_rng(3110), line.velocity(0.0))
         points = [-2.0, -0.5, 0.7, 3.0]
-        got = [(st.s, st.z.components.tobytes())
-               for st in transport_path(line, z0, points, s_start=0.2, step=0.3)]
-        assert got == numpy_reference_path(line, z0, points, s_start=0.2, step=0.3)
+        for step in (0.3, None):  # None: the inertial default, one step per leg
+            got = [(st.s, st.z.components.tobytes())
+                   for st in transport_path(line, z0, points, s_start=0.2, step=step)]
+            assert got == map_reference_path(line, z0, points, s_start=0.2, step=step)
+            # the step maps of an inertial line are zero, so every state is z0
+            assert {z for _, z in got} == {z0.components.tobytes()}
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_drift_message_matches_numpy_reference(self, seed, direction):
+    def test_drift_message_matches_the_map_reference(self, seed, direction):
         rng = np.random.default_rng(3120 + seed)
         line, z0, s_start = _seeded_orbit(rng, boosted=seed % 2 == 0)
         period = line.proper_period
@@ -302,8 +342,36 @@ class TestFloatLoopBitIdentity:
         with pytest.raises(DriftViolation) as got:
             transport_path(line, z0, points, s_start=s_start, step=step)
         with pytest.raises(DriftViolation) as expected:
-            numpy_reference_path(line, z0, points, s_start=s_start, step=step)
+            map_reference_path(line, z0, points, s_start=s_start, step=step)
         assert str(got.value) == str(expected.value)
+
+
+class TestStagesBoundThePath:
+    """The step maps regroup the stage arithmetic of ``numpy_reference_path``, so
+    the two differ by rounding alone: at most n eps |u0|^2 |z0| over a pass of n
+    steps (measured: 0.008 of it on these paths; 6.5e-14, 0.004 of it, over one
+    period at speed 0.9)."""
+
+    @staticmethod
+    def assert_within_rounding(line, z0, points, s_start, step):
+        got = np.array([st.z.components
+                        for st in transport_path(line, z0, points, s_start=s_start, step=step)])
+        ref = numpy_reference_path(line, z0, points, s_start=s_start, step=step)
+        n = sum(1 for _ in _steps(min(points[0], s_start), max(points[-1], s_start), step))
+        scale = max_abs(line.initial_velocity.components) ** 2 * max_abs(z0.components)
+        assert max_abs(got - [np.frombuffer(z) for _, z in ref]) <= n * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("step_kind", ["explicit", "default"])
+    def test_seeded_paths(self, seed, step_kind):
+        line, z0, s_start, points, step = _seeded_path(seed, step_kind)
+        self.assert_within_rounding(line, z0, points, s_start, step)
+
+    @pytest.mark.parametrize("speed", [0.3, 0.6, 0.9])
+    def test_one_period_at_the_default_step(self, speed):
+        line = CircularWorldLine.from_plane(speed, 1.0)
+        z0 = FourVector([0.0, 1.0, 0.0, 0.0])
+        self.assert_within_rounding(line, z0, [line.proper_period], 0.0, line.default_step)
 
 
 class TestLineDefaultStep:
@@ -601,8 +669,8 @@ def per_step_rk4_operator(line, m, s1, s2, step):
     return m
 
 
-def per_step_map_operator(line, m, s1, s2, step):
-    """The operator RK4 as one step map D at a time, m + D m: the block loop's bit oracle."""
+def per_step_maps(line, s1, s2, step):
+    """(end time, map D) of each RK4 step from s1 to s2, built one step at a time."""
     kin = line._kinematics_arrays
     (w_lo,) = _per_step_generators(kin(s1))
     for s, h in _steps(s1, s2, step):
@@ -611,8 +679,14 @@ def per_step_map_operator(line, m, s1, s2, step):
         k2 = w_mid + (0.5 * h) * (w_mid @ k1)
         k3 = w_mid + (0.5 * h) * (w_mid @ k2)
         k4 = w_hi + h * (w_hi @ k3)
-        m = m + ((h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)) @ m
+        yield s + h, (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         w_lo = w_hi
+
+
+def per_step_map_operator(line, m, s1, s2, step):
+    """The operator RK4 as one step map D at a time, m + D m: the block loop's bit oracle."""
+    for _, d in per_step_maps(line, s1, s2, step):
+        m = m + d @ m
     return m
 
 
@@ -684,19 +758,129 @@ class TestBlockOperator:
         assert got.tobytes() == expected.tobytes()
         assert line._kinematics_block([]).shape == (0, 2, 4)
 
-    def test_no_block_asks_for_more_than_two_points_per_step(self, monkeypatch):
-        sizes = []
-        block = CircularWorldLine._kinematics_block
+    @pytest.mark.parametrize("route", ["operator", "vector path"])
+    def test_no_block_asks_for_more_than_two_points_per_step(self, monkeypatch, route):
+        # each kinematics block, with the steps the schedule has handed out when it is asked
+        sizes, pulled = [], []
+        block, steps = CircularWorldLine._kinematics_block, relkin.transport._steps
 
         def spy(self, ss):
             sizes.append(len(ss))
+            pulled.append(len(taken))
             return block(self, ss)
 
+        taken = []
+
+        def counted(*args):
+            for item in steps(*args):
+                taken.append(item)
+                yield item
+
         monkeypatch.setattr(CircularWorldLine, "_kinematics_block", spy)
+        monkeypatch.setattr(relkin.transport, "_steps", counted)
         n_steps = 3 * _BLOCK + 5
-        transport_operator_numeric(standard_line(), 0.0, n_steps * self.STEP, step=self.STEP)
+        if route == "operator":
+            transport_operator_numeric(standard_line(), 0.0, n_steps * self.STEP, step=self.STEP)
+        else:
+            transport_path(standard_line(), E1, [n_steps * self.STEP], step=self.STEP)
         assert max(sizes) <= 2 * _BLOCK
         assert sizes == [1, 2 * _BLOCK, 2 * _BLOCK, 2 * _BLOCK, 10]
+        # lazy: no block reads the schedule further than its own steps
+        assert pulled == [_BLOCK, _BLOCK, 2 * _BLOCK, 3 * _BLOCK, n_steps]
+
+
+class NanBeyondOneLine(CircularWorldLine):
+    """Circular line whose acceleration turns NaN where |s| >= 1."""
+
+    def _kinematics_arrays(self, s):
+        rdot, rddot = CircularWorldLine._kinematics_arrays(self, s)
+        return rdot, (rddot if abs(s) < 1.0 else np.full(4, np.nan))
+
+
+class TestChainedSchedule:
+    """One schedule per direction runs through all of a pass's legs, a block of steps
+    at a time; every state and drift message is the per-leg map reference's."""
+
+    STEP = 2.0 ** -10  # s_start +- n STEP is exact, so each leg has exactly its steps
+    START = 0.25
+
+    def path(self, direction, counts, line=None):
+        # points after (direction 1) or before (-1) START, the n-th at counts[n] steps
+        # (a fraction makes a partial step), ascending, as transport_path takes them
+        line = line or standard_line(0.9, 1.0)
+        z0 = random_spacelike_unit(np.random.default_rng(3400), line.velocity(self.START))
+        points = sorted(self.START + direction * c * self.STEP for c in counts)
+        return line, z0, points
+
+    def assert_matches(self, line, z0, points):
+        got = [(st.s, st.z.components.tobytes())
+               for st in transport_path(line, z0, points, s_start=self.START, step=self.STEP)]
+        assert got == map_reference_path(line, z0, points, s_start=self.START, step=self.STEP)
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_many_legs_inside_one_block(self, direction, monkeypatch):
+        rng = np.random.default_rng(3410)
+        counts = np.cumsum(rng.integers(1, 8, size=60) + rng.choice([0.0, 0.5], size=60))
+        assert counts[-1] < _BLOCK
+        line, z0, points = self.path(direction, counts)
+        sizes = []
+        block = CircularWorldLine._kinematics_block
+        monkeypatch.setattr(CircularWorldLine, "_kinematics_block",
+                            lambda self, ss: sizes.append(len(ss)) or block(self, ss))
+        self.assert_matches(line, z0, points)
+        legs = points if direction > 0 else points[::-1]  # in the order the pass takes them
+        n_steps = sum(1 for a, b in zip([self.START, *legs], legs) for _ in _steps(a, b, self.STEP))
+        # one block: the 60 legs' starts, then the mid and end points of all the steps
+        assert sizes == [60, 2 * n_steps]
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_legs_end_at_the_block_boundary(self, direction):
+        counts = [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 0.25, 2 * _BLOCK + 2]
+        self.assert_matches(*self.path(direction, counts))
+
+    def test_legs_on_both_sides_of_the_start(self):
+        counts = [-_BLOCK - 1, -_BLOCK, -7.5, 0, 2, _BLOCK - 1, _BLOCK + 3]
+        self.assert_matches(*self.path(1.0, counts))
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_repeated_points_are_zero_length_legs(self, direction):
+        counts = [0, 0, 5, 5, 5, 9.5, _BLOCK, _BLOCK, _BLOCK + 2, _BLOCK + 2]
+        line, z0, points = self.path(direction, counts)
+        self.assert_matches(line, z0, points)
+        states = transport_path(line, z0, points, s_start=self.START, step=self.STEP)
+        at_start = [st.z.components.tobytes() for st in states if st.s == self.START]
+        assert at_start == 2 * [z0.components.tobytes()]
+        for a, b in zip(states, states[1:]):
+            if a.s == b.s:
+                assert a.z.components.tobytes() == b.z.components.tobytes()
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_drift_raises_at_its_first_step_mid_block(self, direction):
+        # the acceleration turns NaN at |s| = 1, 768 steps forward of START (the 256th step
+        # of the second block) and 1 280 back (the 256th of the third); earlier legs passed
+        line = NanBeyondOneLine.from_plane(0.9, 1.0)
+        _, z0, points = self.path(direction, [5, 300, 2 * _BLOCK + 400, 3 * _BLOCK], line)
+        end = 1.0 if direction > 0 else -1.0
+        with pytest.raises(DriftViolation, match=rf"at s = {end}: velocity\.z = nan") as got:
+            transport_path(line, z0, points, s_start=self.START, step=self.STEP)
+        with pytest.raises(DriftViolation) as expected:
+            map_reference_path(line, z0, points, s_start=self.START, step=self.STEP)
+        assert str(got.value) == str(expected.value)
+
+    def test_drift_beyond_tolerance_raises_where_the_reference_does(self):
+        # a real drift, not a NaN: at P/200 and speed 0.9 the needle first leaves 1e-6 at
+        # step 2 843, the 284th of the sixth block, in the fourth leg
+        line = standard_line(0.9, 1.0)
+        step = line.proper_period / 200
+        z0 = random_spacelike_unit(np.random.default_rng(3420), line.velocity(0.0))
+        points = [k * line.proper_period for k in (0.1, 0.2, 3.0, 40.0)]
+        with pytest.raises(DriftViolation) as got:
+            transport_path(line, z0, points, step=step, tol_drift=1e-6)
+        with pytest.raises(DriftViolation) as expected:
+            map_reference_path(line, z0, points, step=step, tol=1e-6)
+        assert str(got.value) == str(expected.value)
+        s = float(str(got.value).split("at s = ")[1].split(":")[0])
+        assert round(s / step) == 2843
 
 
 class TestTransportOperator:
