@@ -761,15 +761,13 @@ class TestBlockOperator:
     @pytest.mark.parametrize("route", ["operator", "vector path"])
     def test_no_block_asks_for_more_than_two_points_per_step(self, monkeypatch, route):
         # each kinematics block, with the steps the schedule has handed out when it is asked
-        sizes, pulled = [], []
+        sizes, pulled, taken = [], [], []
         block, steps = CircularWorldLine._kinematics_block, relkin.transport._steps
 
         def spy(self, ss):
             sizes.append(len(ss))
             pulled.append(len(taken))
             return block(self, ss)
-
-        taken = []
 
         def counted(*args):
             for item in steps(*args):
