@@ -39,7 +39,7 @@ from .minkowski import (
     orthonormal_spatial_frame,
     wedge,
 )
-from .transport import transport_path
+from .transport import _path_rows
 from .worldlines import (CircularWorldLine, WorldLine, _invert_increasing,
                          proper_time_of_frame_time)
 
@@ -124,9 +124,9 @@ def precession_series(
     """Observe a transported gyroscope on a grid of frame times.
 
     ``z0`` must be gyroscopic at proper time 0.  One :func:`transport_path`
-    call covers the grid, and takes its route (``step`` and ``tol_drift``
-    as there): with no step a circular line's states are exact, otherwise
-    RK4 integrates them.  Each sample then gets the boosted vector and the
+    pass, read as rows, covers the grid and takes its route (``step`` and
+    ``tol_drift`` as there): with no step a circular line's states are
+    exact, otherwise RK4 integrates them.  Each sample then gets the boosted vector and the
     rate built from the relative velocity and acceleration at that
     instant.  Interior samples also carry the centered difference of the
     observed vector, so the precession law can be checked against the
@@ -142,13 +142,15 @@ def precession_series(
         raise ConstraintViolation("frame-time grid must be strictly increasing")
     clock = line._frame_clock(u)
     ss = [_invert_increasing(clock, t) for t in ts]
-    states = transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
-    kin = line._kinematics_block([state.s for state in states])
-    rdot, rddot, w = kin[:, 0].T, kin[:, 1].T, u.components.tolist()
+    zs, kin = _path_rows(line, z0, ss, 0.0, step, tol_drift)
+    w = u.components.tolist()
     # an overflow becomes the inf or NaN that a check rejects
     with np.errstate(all="ignore"):
+        if kin is None:  # RK4 ends its steps elsewhere
+            kin = line._kinematics_block(ss)
+        rdot, rddot = kin[:, 0].T, kin[:, 1].T
         m, ok = _boost_rows(w, rdot.T)
-        z = (m @ np.array([state.z.components for state in states])[:, :, None])[:, :, 0]
+        z = (m @ zs[:, :, None])[:, :, 0]
         a = _acceleration_seen_by(w, rdot, rddot)
         rate, ok_rate = _rate_rows(_relative_velocity(w, rdot), a)
         ok &= np.isfinite(z).all(axis=1) & _orthogonal(rdot, rddot, TOL.constraint) & ok_rate
@@ -156,7 +158,7 @@ def precession_series(
         z_dot = (z[2:] - z[:-2]) * inv_dt[:, None]
         ok_dot = np.isfinite(inv_dt) & np.isfinite(z_dot).all(axis=1)
     if not (ok.all() and ok_dot.all()):
-        _raise_first_failure(w, line, states, ts, z, ok, ok_dot)
+        _raise_first_failure(w, line, ss, zs, ts, z, ok, ok_dot)
     for block in (z, rate, z_dot):
         block.setflags(write=False)
     samples = [PrecessionSample(t, _vector(zk), _map(rk)) for t, zk, rk in zip(ts, z, rate)]
@@ -165,7 +167,7 @@ def precession_series(
     return samples
 
 
-def _raise_first_failure(w, line, states, ts, z, ok, ok_dot) -> NoReturn:
+def _raise_first_failure(w, line, ss, zs, ts, z, ok, ok_dot) -> NoReturn:
     """Replay the per-sample kernels where a block check failed.
 
     The first sample that fails any check is rerun through the scalar
@@ -177,9 +179,9 @@ def _raise_first_failure(w, line, states, ts, z, ok, ok_dot) -> NoReturn:
     """
     with np.errstate(all="ignore"):
         if not ok.all():
-            state = states[int(np.argmin(ok))]
-            rdot, rddot = line._kinematics_arrays(state.s)
-            FourVector(_boost_matrix(w, rdot) @ state.z.components)
+            k = int(np.argmin(ok))
+            rdot, rddot = line._kinematics_arrays(ss[k])
+            FourVector(_boost_matrix(w, rdot) @ zs[k])
             v = _relative_velocity(w, rdot)
             LorentzMap(_rate_matrix(v, _relative_acceleration(w, rdot, rddot)))
         else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +38,6 @@ from .minkowski import (
     _rows,
     _vector,
     _wedge,
-    wedge,
 )
 from .worldlines import CircularWorldLine, WorldLine, _finite_time
 
@@ -91,17 +90,46 @@ def _generators(k: np.ndarray) -> np.ndarray:
     return _rows(_wedge(k[:, 0].T, k[:, 1].T))
 
 
-def _steps(s1: float, s2: float, step: float):
-    """(s, h) of each fixed step from s1 to s2; the final partial step is shortened."""
-    total = s2 - s1
-    h_full = math.copysign(step, total)
-    s = s1
-    for _ in range(int(abs(total) // step)):
-        yield s, h_full
-        s += h_full
-    h = s2 - s
-    if abs(h) > 1e-15 * max(1.0, abs(s2)):
-        yield s, h
+def _schedule(s: float, points, step: float):
+    """The fixed steps from ``s`` through each of ``points`` in turn, ``_BLOCK`` at a time.
+
+    Each leg runs from the previous point (``s`` for the first) to its own
+    in full steps of ``step``, then one partial step that ends on the point
+    unless it is shorter than 1e-15 max(1, |point|).  A block is (starts,
+    sizes, marks): two float arrays, and (row, k) for each leg k whose first
+    step falls in the block.  A leg's starts are the running sums s, s + h,
+    (s + h) + h, ... of ``accumulate``, read in C, so no Python runs per
+    step; the last of them starts the partial step, and the next leg starts
+    on the point itself.  A block is handed out as soon as it is full.
+    """
+    starts, sizes, marks = [], [], []
+    for k, p in enumerate(points):
+        n = int(abs(p - s) // step)
+        h = math.copysign(step, p - s)
+        run = accumulate(repeat(h, n), initial=s)  # n + 1 starts
+        marks.append((len(starts), k))
+        while n >= _BLOCK - len(starts):  # full steps fill the block
+            take = _BLOCK - len(starts)
+            starts.extend(islice(run, take))
+            sizes.extend(repeat(h, take))
+            n -= take
+            yield np.array(starts), np.array(sizes), marks
+            starts, sizes, marks = [], [], []
+        starts.extend(run)  # the remaining full steps' starts, then the partial step's
+        sizes.extend(repeat(h, n))
+        last = p - starts[-1]
+        if abs(last) > 1e-15 * max(1.0, abs(p)):
+            sizes.append(last)
+            if len(starts) == _BLOCK:
+                yield np.array(starts), np.array(sizes), marks
+                starts, sizes, marks = [], [], []
+        else:
+            del starts[-1]
+            if marks and marks[-1][0] == len(starts):
+                del marks[-1]  # a leg without steps
+        s = p
+    if starts:
+        yield np.array(starts), np.array(sizes), marks
 
 
 def _step_maps(line: WorldLine, s: float, points, step: float):
@@ -110,41 +138,34 @@ def _step_maps(line: WorldLine, s: float, points, step: float):
     dm/ds = w(s) m is linear, for a transport operator or one vector m, so a
     step is m + D m with D = (h/6) (K1 + 2 (K2 + K3) + K4), K1 = w_lo, K2 =
     w_mid + (0.5 h) w_mid K1, K3 = w_mid + (0.5 h) w_mid K2 and K4 = w_hi +
-    h w_hi K3.  The legs' ``_steps`` are chained and read ``_BLOCK`` steps at
-    a time: one kinematics block and one generator pass cover the mid and
-    end points, one stacked numpy pass builds the maps.  K1, the generator at
-    the step's start, is the previous step's end generator, bit for bit, but
-    a leg's first step evaluates its start, in one block of the leg starts.
-    Each block yields its steps (s, h, k), k the leg's index into ``points``
-    on its first step and None after, their end times, the [n, 4] velocities
-    there and the [n, 4, 4] maps.  Stacked and single 4x4 ``@`` give each
-    slice the same bits, which the ``circular-thomas`` golden records.
+    h w_hi K3.  For each block of ``_schedule``, one kinematics block and
+    one generator pass cover the mid and end points, one stacked numpy pass
+    builds the maps.  K1, the generator at the step's start, is the previous
+    step's end generator, bit for bit, but a leg's first step evaluates its
+    start, in one block of the leg starts.  Each block yields the schedule's
+    marks, its steps' end times, the [n, 4] velocities there and the [n, 4,
+    4] maps.  Stacked and single 4x4 ``@`` give each slice the same bits,
+    which the ``circular-thomas`` golden records.
     """
-    def chain(s):
-        for k, p in enumerate(points):
-            for s_k, h in _steps(s, p, step):
-                yield s_k, h, k
-                k = None  # only a leg's first step carries its index
-            s = p
-
-    schedule = chain(s)
     w_end = np.zeros((1, 4, 4))  # the generator at the previous step's end point
-    while block := list(islice(schedule, _BLOCK)):
-        first = [j for j, (_, _, k) in enumerate(block) if k is not None]
-        kin_first = (line._kinematics_block([block[j][0] for j in first]) if first
+    for starts, h, marks in _schedule(s, points, step):
+        first = [j for j, _ in marks]
+        kin_first = (line._kinematics_block(starts[first]) if first
                      else np.empty((0, 2, 4)))
-        times = [t for s, h, _ in block for t in (s + 0.5 * h, s + h)]  # mid and end points
+        times = np.empty(2 * len(h))  # mid and end points
+        times[0::2] = starts + 0.5 * h
+        times[1::2] = starts + h
         kin = line._kinematics_block(times)
         w = _generators(np.concatenate((kin_first, kin)))
         n = len(first)
         w_mid, w_hi = w[n::2], w[n + 1::2]
         k1 = np.concatenate((w_end, w_hi[:-1]))
         k1[first] = w[:n]
-        h = np.array([h for _, h, _ in block])[:, None, None]
+        h = h[:, None, None]
         k2 = w_mid + (0.5 * h) * (w_mid @ k1)
         k3 = w_mid + (0.5 * h) * (w_mid @ k2)
         k4 = w_hi + h * (w_hi @ k3)
-        yield block, times[1::2], kin[1::2, 0], (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        yield marks, times[1::2], kin[1::2, 0], (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         w_end = w_hi[-1:]
 
 
@@ -219,7 +240,16 @@ def transport_path(
     the velocity and its magnitude within ``tol_drift`` (``DriftViolation``).
     """
     ss = [_finite_time(s) for s in s_points]
-    s_start = _finite_time(s_start)
+    z, _ = _path_rows(line, z0, ss, _finite_time(s_start), step, tol_drift)
+    z.setflags(write=False)
+    return [GyroState(s, _vector(zk)) for s, zk in zip(ss, z)]
+
+
+def _path_rows(line: WorldLine, z0: FourVector, ss: list, s_start: float,
+               step: float | None, tol_drift: float | None):
+    """:func:`transport_path`'s states at the finite times ``ss`` as [n, 4] rows, with the
+    [n, 2, 4] kinematics at ``ss`` where the route evaluated them (the exact one), else None.
+    """
     if any(b < a for a, b in zip(ss, ss[1:])):
         raise ConstraintViolation("proper-time points must be ascending")
     tol_drift = TOL.drift if tol_drift is None else tol_drift
@@ -233,26 +263,25 @@ def transport_path(
         if exact:
             lam = line.lorentz_factor
             z = _circular_states(line, z0.components, lam * s_start, [lam * s for s in ss])
-            _require_drift(ss, z, line._kinematics_block(ss)[:, 0], norm0, tol_drift,
-                           "exact circular transport")
-        else:
-            first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
-            passes = []
-            for points in (ss[first_fwd:], ss[:first_fwd][::-1]):
-                z, at = z0.components, []  # at: the state at each point passed
-                for block, ends, v, d in _step_maps(line, s_start, points, step):
-                    zs = []
-                    for (_, _, k), dk in zip(block, d):
-                        if k is not None:  # leg k starts: the points before it are passed
-                            at += [z] * (k - len(at))
+            kin = line._kinematics_block(ss)
+            _require_drift(ss, z, kin[:, 0], norm0, tol_drift, "exact circular transport")
+            return z, kin
+        first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
+        passes = []
+        for points in (ss[first_fwd:], ss[:first_fwd][::-1]):
+            z, at = z0.components, []  # at: the state at each point passed
+            for marks, ends, v, d in _step_maps(line, s_start, points, step):
+                zs, done, d = [], 0, list(d)
+                for j, k in [*marks, (len(d), None)]:
+                    for dk in d[done:j]:  # the steps before row j, all of one leg
                         z = z + dk @ z
                         zs.append(z)
-                    _require_drift(ends, np.array(zs), v, norm0, tol_drift,
-                                   f"step {step} too large")
-                passes.append(at + [z] * (len(points) - len(at)))
-            z = np.array(passes[1][::-1] + passes[0]).reshape(-1, 4)
-    z.setflags(write=False)
-    return [GyroState(s, _vector(zk)) for s, zk in zip(ss, z)]
+                    if k is not None:  # leg k starts: the points before it are passed
+                        at += [z] * (k - len(at))
+                    done = j
+                _require_drift(ends, np.array(zs), v, norm0, tol_drift, f"step {step} too large")
+            passes.append(at + [z] * (len(points) - len(at)))
+        return np.array(passes[1][::-1] + passes[0]).reshape(-1, 4), None
 
 
 def transport_operator_numeric(
@@ -270,8 +299,9 @@ def transport_operator_numeric(
     """
     s1, s2 = _finite_time(s1), _finite_time(s2)
     step = _resolve_step(line, abs(s2 - s1), step)
-    m = _rk4_operator(line, np.eye(4), s1, s2, step)
-    _require_operator("form", _form_error(m), s1, s2, step)
+    with np.errstate(all="ignore"):  # an overflow becomes the inf or NaN the checks reject
+        m = _rk4_operator(line, np.eye(4), s1, s2, step)
+        _require_operator("form", _form_error(m), s1, s2, step)
     rdot1, _ = line._kinematics_arrays(s1)
     rdot2, _ = line._kinematics_arrays(s2)
     _require_operator("endpoint", _carry_error(m, rdot1, rdot2), s1, s2, step)
@@ -281,7 +311,7 @@ def transport_operator_numeric(
 def _require_operator(kind: str, err, s1: float, s2: float, step: float) -> None:
     # err within TOL.numeric, or a DriftViolation naming the step and the step count
     if not err <= TOL.numeric:
-        n = sum(1 for _ in _steps(s1, s2, step))
+        n = sum(len(h) for _, h, _ in _schedule(s1, [s2], step))
         raise DriftViolation(f"transport operator {kind} error {err} exceeds {TOL.numeric} after "
                              f"{n} RK4 steps of {step}: the step is too large, or rounding, "
                              "which a smaller step does not lower, dominates")
@@ -299,8 +329,11 @@ def circular_transport_generator(line: CircularWorldLine) -> LorentzMap:
         raise ConstraintViolation("transport generator is defined for circular world lines")
     lam2 = line.lorentz_factor ** 2
     rate2 = line.angular_rate ** 2
-    boost_part = wedge(line.center_velocity, line.radius_vector)
-    return lam2 * line.angular_velocity + (lam2 * rate2) * boost_part
+    # lam2 Om + (lam2 rate2) (u_c ^ q), as the LorentzMap operations form it, checked once
+    boost_part = np.array(_wedge(line.center_velocity.components.tolist(),
+                                 line.radius_vector.components.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return LorentzMap(line.angular_velocity.matrix * lam2 + boost_part * (lam2 * rate2))
 
 
 def _circular_states(line: CircularWorldLine, z1: np.ndarray, t1: float, ts) -> np.ndarray:

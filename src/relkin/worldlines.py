@@ -78,9 +78,10 @@ class WorldLine(abc.ABC):
         )
 
     def _kinematics_block(self, ss) -> np.ndarray:
-        # [n, (velocity, acceleration), component] at the proper times ss; each
-        # row equals _kinematics_arrays at its point, bit for bit
-        return np.array([self._kinematics_arrays(s) for s in ss], dtype=float).reshape(-1, 2, 4)
+        # [n, (velocity, acceleration), component] at the proper times ss, a sequence or
+        # an array; each row equals _kinematics_arrays at its point, bit for bit
+        return np.array([self._kinematics_arrays(s) for s in np.asarray(ss, dtype=float).tolist()],
+                        dtype=float).reshape(-1, 2, 4)
 
     def _frame_clock(self, u: AbsoluteVelocity):
         """(forward, slope) in floats: the time frame ``u`` assigns to the point at
@@ -283,13 +284,12 @@ class CircularWorldLine(WorldLine):
         )
 
     def _kinematics_block(self, ss) -> np.ndarray:
-        # _kinematics_of on arrays of libm's cos and sin, one value per point
+        # _kinematics_of on numpy's cos and sin of the phases, which equal libm's math.cos
+        # and math.sin bit for bit (a test guards it)
         if type(self)._kinematics_arrays is not CircularWorldLine._kinematics_arrays:
             return super()._kinematics_block(ss)  # a subclass's own scalar kinematics
-        phases = [self._spin * s for s in ss]
-        c = np.array([math.cos(ph) for ph in phases])
-        si = np.array([math.sin(ph) for ph in phases])
-        return _rows(self._kinematics_of(c, si))
+        phases = self._spin * np.asarray(ss, dtype=float)
+        return _rows(self._kinematics_of(np.cos(phases), np.sin(phases)))
 
     def _frame_clock(self, u: AbsoluteVelocity):
         # t(s) = -u.(x(s) - x(0)) = A s + B (cos(phase) - 1) + C sin(phase), with A = lam (-u.u_c),

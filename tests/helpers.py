@@ -16,6 +16,22 @@ from relkin import (
 from relkin.worldlines import _finite_time
 
 
+def _steps(s1: float, s2: float, step: float):
+    """(s, h) of each fixed step from s1 to s2; the final partial step is shortened.
+
+    The scalar schedule, s += h per step: the oracle of ``transport._schedule``.
+    """
+    total = s2 - s1
+    h_full = math.copysign(step, total)
+    s = s1
+    for _ in range(int(abs(total) // step)):
+        yield s, h_full
+        s += h_full
+    h = s2 - s
+    if abs(h) > 1e-15 * max(1.0, abs(s2)):
+        yield s, h
+
+
 def max_abs(arr) -> float:
     return float(np.max(np.abs(np.asarray(arr))))
 

@@ -40,9 +40,9 @@ from relkin import (
 
 import relkin.boosts as boosts_module
 import relkin.precession as precession_module
+import relkin.transport as transport_module
 from relkin.boosts import _boost_matrix, _relative_acceleration, _relative_velocity
 from relkin.precession import PrecessionSample, _rate_matrix
-from relkin.transport import GyroState
 from relkin.worldlines import _STEP_FIT, _invert_increasing
 from helpers import (DelegatingLine, HyperbolicLine, max_abs, random_spacelike_unit,
                      random_velocity)
@@ -289,14 +289,14 @@ class TestSeriesIsThePublicComposition:
     def test_series_runs_the_boost_checks(self, monkeypatch):
         # with no tolerance left once transport is done, the boost checks reject roundoff
         u, line, z0, grid, step = observed_orbit(0.6, "explicit", True, seed=5)
-        transport = precession_module.transport_path
+        transport = precession_module._path_rows
 
-        def then_no_tolerance(*args, **kwargs):
-            states = transport(*args, **kwargs)
+        def then_no_tolerance(*args):
+            rows = transport(*args)
             monkeypatch.setattr(TOL, "constraint", 0.0)
-            return states
+            return rows
 
-        monkeypatch.setattr(precession_module, "transport_path", then_no_tolerance)
+        monkeypatch.setattr(precession_module, "_path_rows", then_no_tolerance)
         with pytest.raises(ConstraintViolation, match="boost"):
             precession_series(u, line, z0, grid, step=step)
 
@@ -315,7 +315,7 @@ def per_sample_series(u, line, z0, t_grid, step=None, tol_drift=None):
     ts = [float(t) for t in t_grid]
     clock = line._frame_clock(u)
     ss = [_invert_increasing(clock, t) for t in ts]
-    states = precession_module.transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
+    states = transport_path(line, z0, ss, step=step, tol_drift=tol_drift)
     w = u.components.tolist()
     samples, zs = [], []
     for t, state in zip(ts, states):
@@ -391,12 +391,15 @@ class RiggedLine(InertialWorldLine):
         return self.rigged.get(s, self._kinematics)
 
 
+def patch_path_rows(monkeypatch, rows):
+    # the transport core replaced, both where transport_path and precession_series call it
+    for module in (transport_module, precession_module):
+        monkeypatch.setattr(module, "_path_rows", rows)
+
+
 def transport_gives(monkeypatch, zs):
     # the transport replaced by the given vectors at the requested proper times
-    def transport(line, z0, ss, **kwargs):
-        return [GyroState(s, FourVector(z)) for s, z in zip(ss, zs)]
-
-    monkeypatch.setattr(precession_module, "transport_path", transport)
+    patch_path_rows(monkeypatch, lambda *args: (np.array(zs, dtype=float), None))
 
 
 def raised(series, *args, **kwargs):
@@ -512,15 +515,15 @@ class TestBlockObservation:
 
     def test_zero_tolerance_raises_what_the_oracle_raises(self, monkeypatch):
         u, line, z0, grid, step = observed_orbit(0.6, "explicit", True, seed=5)
-        transport = precession_module.transport_path
+        transport = precession_module._path_rows
 
-        def then_no_tolerance(*args, **kwargs):
-            states = transport(*args, **kwargs)
+        def then_no_tolerance(*args):
+            rows = transport(*args)
             monkeypatch.setattr(TOL, "constraint", 0.0)
-            return states
+            return rows
 
         tol = TOL.constraint
-        monkeypatch.setattr(precession_module, "transport_path", then_no_tolerance)
+        patch_path_rows(monkeypatch, then_no_tolerance)
         expected = raised(per_sample_series, u, line, z0, grid, step=step)
         assert "boost" in expected[1]
         monkeypatch.setattr(TOL, "constraint", tol)
@@ -551,6 +554,21 @@ class TestBlockObservation:
         with pytest.raises(ConstraintViolation, match="future directed"):
             precession_series(AbsoluteVelocity.rest(), rigged, X, [0.0, 1.0, 2.0, 3.0])
         assert calls == on_columns + [("_boost_matrix", 1)]
+
+    @pytest.mark.parametrize("route", ["exact", "rk4"])
+    def test_kinematics_at_the_samples_are_evaluated_once(self, route, monkeypatch):
+        # the exact route's drift test has evaluated them already; RK4 ends its steps
+        # elsewhere, so the observation evaluates them after it
+        u, line, z0, grid, step = observed_orbit(0.6, "explicit", False, seed=4)
+        step = None if route == "exact" else step
+        sizes = []
+        block = CircularWorldLine._kinematics_block
+        monkeypatch.setattr(CircularWorldLine, "_kinematics_block",
+                            lambda self, ss: sizes.append(len(ss)) or block(self, ss))
+        precession_series(u, line, z0, grid, step=step)
+        assert sizes.count(len(grid)) == 1
+        if route == "exact":
+            assert sizes == [len(grid)]
 
     def test_rate_rows_are_the_scalar_rates(self):
         rng = np.random.default_rng(71)

@@ -47,6 +47,7 @@ def test_only_the_kept_settings_remain():
 PRIVATE_KEPT = {
     ("_orthogonal", "tol"),             # TOL.constraint, and TOL.drift when observing
     ("_require_drift", "tol"),          # the caller's tol_drift, for RK4 and exact states
+    ("_path_rows", "tol_drift"),        # transport_path's and precession_series's tol_drift
     ("run_scenario", "tol"),            # the CLI's --tol, down to the runners
     ("_run_boost_compose", "tol"),
     ("_run_circular_thomas", "tol"),

@@ -37,10 +37,10 @@ from relkin import (
 )
 
 from relkin.transport import (_BLOCK, MAX_STEPS, _circular_states, _generators, _reduce_angle,
-                              _rk4_operator, _steps)
+                              _rk4_operator, _schedule)
 from relkin.worldlines import _STEP_FIT, _STEP_TARGET
 
-from helpers import (DelegatingLine, HyperbolicLine, LoopLine, max_abs,
+from helpers import (DelegatingLine, HyperbolicLine, LoopLine, _steps, max_abs,
                      random_spacelike_unit, random_velocity)
 
 
@@ -758,11 +758,20 @@ class TestBlockOperator:
         assert got.tobytes() == expected.tobytes()
         assert line._kinematics_block([]).shape == (0, 2, 4)
 
+    def test_overflowing_phase_is_a_drift(self):
+        # spin * s overflows to inf: numpy's cos and sin turn it into the NaN the checks
+        # reject, without a warning, where math.cos raised an untyped ValueError
+        line = CircularWorldLine.from_plane(1e10, 0.5e-10)
+        with pytest.raises(DriftViolation, match="form error nan"):
+            transport_operator_numeric(line, 0.0, 1e300, step=1e299)
+        with pytest.raises(DriftViolation, match="velocity.z = nan"):
+            transport_path(line, E3, [1e300], step=1e299)
+
     @pytest.mark.parametrize("route", ["operator", "vector path"])
     def test_no_block_asks_for_more_than_two_points_per_step(self, monkeypatch, route):
         # each kinematics block, with the steps the schedule has handed out when it is asked
         sizes, pulled, taken = [], [], []
-        block, steps = CircularWorldLine._kinematics_block, relkin.transport._steps
+        block, schedule = CircularWorldLine._kinematics_block, relkin.transport._schedule
 
         def spy(self, ss):
             sizes.append(len(ss))
@@ -770,12 +779,12 @@ class TestBlockOperator:
             return block(self, ss)
 
         def counted(*args):
-            for item in steps(*args):
-                taken.append(item)
+            for item in schedule(*args):
+                taken.extend(item[1])  # the block's step sizes
                 yield item
 
         monkeypatch.setattr(CircularWorldLine, "_kinematics_block", spy)
-        monkeypatch.setattr(relkin.transport, "_steps", counted)
+        monkeypatch.setattr(relkin.transport, "_schedule", counted)
         n_steps = 3 * _BLOCK + 5
         if route == "operator":
             transport_operator_numeric(standard_line(), 0.0, n_steps * self.STEP, step=self.STEP)
@@ -817,8 +826,7 @@ class TestChainedSchedule:
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_many_legs_inside_one_block(self, direction, monkeypatch):
-        rng = np.random.default_rng(3410)
-        counts = np.cumsum(rng.integers(1, 8, size=60) + rng.choice([0.0, 0.5], size=60))
+        counts = _many_legs()
         assert counts[-1] < _BLOCK
         line, z0, points = self.path(direction, counts)
         sizes = []
@@ -879,6 +887,81 @@ class TestChainedSchedule:
         assert str(got.value) == str(expected.value)
         s = float(str(got.value).split("at s = ")[1].split(":")[0])
         assert round(s / step) == 2843
+
+
+def _many_legs():
+    # TestChainedSchedule's 60 legs, 1 to 7.5 steps each, inside one block
+    rng = np.random.default_rng(3410)
+    return np.cumsum(rng.integers(1, 8, size=60) + rng.choice([0.0, 0.5], size=60))
+
+
+def scalar_schedule(s, points, step):
+    """``_schedule``'s blocks built from the scalar ``_steps``, leg by leg: its bit oracle."""
+    steps, marks = [], []
+    for k, (a, b) in enumerate(zip([s, *points], points)):
+        leg = list(_steps(a, b, step))
+        if leg:
+            marks.append((len(steps), k))
+        steps += leg
+    return [(np.array([s for s, _ in steps[i:i + _BLOCK]]).tobytes(),
+             np.array([h for _, h in steps[i:i + _BLOCK]]).tobytes(),
+             [(j - i, k) for j, k in marks if i <= j < i + _BLOCK])
+            for i in range(0, len(steps), _BLOCK)]
+
+
+class TestBlockSchedule:
+    """``_schedule`` hands out the scalar schedule's starts, sizes and leg marks, bit for bit."""
+
+    @staticmethod
+    def assert_matches(s, points, step):
+        got = [(starts.tobytes(), sizes.tobytes(), marks)
+               for starts, sizes, marks in _schedule(s, points, step)]
+        assert got == scalar_schedule(s, points, step)
+
+    @staticmethod
+    def passes(start, counts, step):
+        # transport_path's two passes over points at counts[n] steps from start
+        ss = sorted(start + c * step for c in counts)
+        first_fwd = next((i for i, s in enumerate(ss) if s >= start), len(ss))
+        return ss[first_fwd:], ss[:first_fwd][::-1]
+
+    CHAINED = {
+        "many-legs-inside-one-block": _many_legs(),
+        "legs-end-at-the-block-boundary": [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 0.25,
+                                           2 * _BLOCK + 2],
+        "legs-on-both-sides-of-the-start": [-_BLOCK - 1, -_BLOCK, -7.5, 0, 2, _BLOCK - 1,
+                                            _BLOCK + 3],
+        "repeated-points": [0, 0, 5, 5, 5, 9.5, _BLOCK, _BLOCK, _BLOCK + 2, _BLOCK + 2],
+    }
+
+    # a dyadic step sums exactly; at 0.1 / 3 from 0.7 the running sums round, so only
+    # s += h in order, step by step, gives the oracle's starts
+    STEPS = [(TestChainedSchedule.START, TestChainedSchedule.STEP), (0.7, 0.1 / 3.0)]
+
+    @pytest.mark.parametrize("start, step", STEPS)
+    @pytest.mark.parametrize("case", sorted(CHAINED))
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_chained_legs(self, case, direction, start, step):
+        counts = [direction * c for c in self.CHAINED[case]]
+        for points in self.passes(start, counts, step):
+            self.assert_matches(start, points, step)
+
+    @pytest.mark.parametrize("start, step", STEPS)
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_single_legs(self, direction, start, step):
+        for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+            for partial in (0.0, 0.375):
+                self.assert_matches(start, [start + direction * (n + partial) * step], step)
+
+    def test_zero_length_legs(self):
+        step, s = 0.1 / 3.0, 0.7
+        far = s + 2.5 * step
+        # a first leg of no length, repeated points, and a leg below the 1e-15 threshold
+        for points in ([s], [s, s], [s, far, far, far], [s, s + 1e-17, far, far + 1e-16],
+                       [far, far + 1e-16, far + 1e-16]):
+            self.assert_matches(s, points, step)
+        assert list(_schedule(s, [s, s], step)) == []
+        assert list(_schedule(s, [], step)) == []
 
 
 class TestTransportOperator:
@@ -1073,6 +1156,26 @@ class TestCircularGenerator:
         gen = circular_transport_generator(line)
         assert abs(antisymmetric_magnitude(gen) - 0.75) < 1e-12
         assert gen.is_antisymmetric()
+
+
+    def test_is_the_map_operations_form(self):
+        # lam2 Om + (lam2 rate2) (u_c ^ q) as LorentzMap operations, each one checked: the
+        # array form keeps their bits, and so the operator_angle_rad golden
+        rng = np.random.default_rng(92)
+        for _ in range(40):
+            rho = rng.uniform(0.3, 3.0)
+            center = random_velocity(rng, 0.6)
+            carry = boost(center, AbsoluteVelocity.rest())
+            i, j = rng.choice(3, size=2, replace=False)
+            plane = (carry((E1, E2, E3)[i]), carry((E1, E2, E3)[j]))
+            line = CircularWorldLine.from_plane(rng.uniform(0.01, 0.99) / rho, rho, plane=plane,
+                                                center_velocity=center)
+            lam2, rate2 = line.lorentz_factor ** 2, line.angular_rate ** 2
+            expected = lam2 * line.angular_velocity + (lam2 * rate2) * wedge(
+                line.center_velocity, line.radius_vector)
+            got = circular_transport_generator(line).matrix
+            assert got.tobytes() == expected.matrix.tobytes()
+            assert not got.flags.writeable
 
 
 class TestExactCircularTransport:

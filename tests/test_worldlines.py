@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +221,59 @@ class TestKinematics:
         line = InertialWorldLine(u)
         assert max_abs(line.position(2.0).components - 2.0 * u.components) < 1e-15
         assert max_abs(line.acceleration(5.0).components) == 0.0
+
+
+def assert_libm_cos_sin(x):
+    # np.cos and np.sin of the float array x are math.cos and math.sin of each element
+    xs = x.tolist()
+    assert np.cos(x).tobytes() == np.array([math.cos(v) for v in xs]).tobytes()
+    assert np.sin(x).tobytes() == np.array([math.sin(v) for v in xs]).tobytes()
+
+
+class TestLibmCosSin:
+    """``CircularWorldLine._kinematics_block`` takes numpy's cos and sin of the phases,
+    which must be libm's ``math.cos`` and ``math.sin`` bit for bit: the block rows
+    equal ``_kinematics_arrays``, and the goldens rest on them.  A numpy build whose
+    vectorised cos or sin rounds differently fails here, not in a golden."""
+
+    def test_seeded_arguments_of_every_magnitude(self):
+        rng = np.random.default_rng(3700)
+        magnitude = 10.0 ** rng.uniform(-300.0, 300.0, size=100_000)
+        assert_libm_cos_sin(rng.choice([-1.0, 1.0], size=magnitude.size) * magnitude)
+        # the range the phases of an orbit take, densely
+        assert_libm_cos_sin(rng.uniform(-1e4, 1e4, size=100_000))
+
+    def test_signed_zeros(self):
+        x = np.array([0.0, -0.0, -0.0, 0.0, 5e-324, -5e-324])
+        assert_libm_cos_sin(x)
+        assert np.signbit(np.sin(x)).tolist() == np.signbit(x).tolist()
+
+    def test_short_arrays_and_strided_views(self):
+        # every tail length of a vector loop, and the non-contiguous paths
+        rng = np.random.default_rng(3701)
+        x = rng.uniform(-50.0, 50.0, size=240)
+        for n in range(1, 41):
+            assert_libm_cos_sin(x[:n])
+        for view in (x[::2], x[1::3], x[::-1], x[::-7], x.reshape(40, 6)[:, 1]):
+            assert_libm_cos_sin(view)
+
+    @pytest.mark.parametrize("scenario", ["circular_thomas", "precess_center"])
+    def test_phases_of_the_golden_scenarios(self, scenario, monkeypatch, tmp_path):
+        from relkin.cli import run_scenario
+
+        phases = []
+        block = CircularWorldLine._kinematics_block
+
+        def spy(self, ss):
+            phases.append(self._spin * np.asarray(ss, dtype=float))
+            return block(self, ss)
+
+        monkeypatch.setattr(CircularWorldLine, "_kinematics_block", spy)
+        repo = Path(__file__).resolve().parent.parent
+        run_scenario(repo / "scenarios" / f"{scenario}.yaml", out_dir=tmp_path)
+        x = np.concatenate(phases)
+        assert x.size > 60
+        assert_libm_cos_sin(x)
 
 
 class TestTimeConversions:
