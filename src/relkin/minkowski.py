@@ -314,30 +314,16 @@ def _lorentz_exp(m: np.ndarray, t: float) -> np.ndarray:
         return c[0] * np.eye(4) + c[1] * m + c[2] * m2 + c[3] * m3
     big = 0.5 * (r + abs(p))
     a2, b2 = (big, q / big) if p >= 0.0 else (q / big, big)
-    out = _elliptic_exp((a2 * m - m3) / r, math.sqrt(b2), t)  # e^(t R)
+    b = math.sqrt(b2)  # e^(t R) in the closed form of R^3 = -b^2 R, which is I where b = 0
+    out = np.eye(4)
+    if b != 0.0:
+        out = _elliptic_of((a2 * m - m3) / r, b, math.sin(b * t), math.cos(b * t))
     a = math.sqrt(a2)
     if a > 0.0:  # plus e^(t B) - I, its cosh - 1 written as 2 sinh^2(a t / 2)
         bp = (m3 + b2 * m) / r
         sh = math.sinh(0.5 * a * t) / a
         out = out + (math.sinh(a * t) / a) * bp + (2.0 * sh * sh) * (bp @ bp)
     return out
-
-
-def _elliptic_exp(m: np.ndarray, rate: float, t: float) -> np.ndarray:
-    # exact exponential for antisymmetric maps with m^3 = -rate^2 m
-    if rate == 0.0:
-        return np.eye(4)
-    ph = rate * t
-    return _elliptic_of(m, rate, math.sin(ph), math.cos(ph))
-
-
-def _elliptic_rows(m: np.ndarray, rate: float, ts) -> np.ndarray:
-    # _elliptic_exp at each of the times ts as an [n, 4, 4] stack, libm's sin and cos per
-    # time; each slice equals the single call bit for bit (rate must be nonzero)
-    phases = [rate * t for t in ts]
-    si = np.array([math.sin(ph) for ph in phases])[:, None, None]
-    c = np.array([math.cos(ph) for ph in phases])[:, None, None]
-    return _elliptic_of(m, rate, si, c)
 
 
 def _elliptic_of(m: np.ndarray, rate: float, si, c) -> np.ndarray:

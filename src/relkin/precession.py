@@ -125,10 +125,10 @@ def precession_series(
 
     ``z0`` must be gyroscopic at proper time 0.  One :func:`transport_path`
     pass, read as rows, covers the grid and takes its route (``step`` and
-    ``tol_drift`` as there): with no step a circular line's states are
-    exact, otherwise RK4 integrates them.  Each sample then gets the boosted vector and the
-    rate built from the relative velocity and acceleration at that
-    instant.  Interior samples also carry the centered difference of the
+    ``tol_drift`` as there): with no step an inertial or circular line's
+    states are exact, otherwise RK4 integrates them.  Each sample then gets
+    the boosted vector and the rate built from the relative velocity and
+    acceleration at that instant.  Interior samples also carry the centered difference of the
     observed vector, so the precession law can be checked against the
     series itself.  One numpy pass observes every sample: the public calls'
     float kernels run once, on arrays with one value per sample, so each

@@ -5,12 +5,13 @@ in the only boost-consistent sense, when it evolves by
 zdot = velocity (acceleration . z) - acceleration (velocity . z).
 Transport preserves orthogonality to the velocity, magnitudes and mutual
 angles.  Two independent routes are provided and cross-validate each
-other: a fixed-step RK4 propagator for any world line, and an exact
-operator for circular lines built from two commuting-plane rotation
-exponentials.  Path transport on a circular line with no step given
-returns the exact states; RK4 runs wherever a step is given and on every
-other line, and is the exact route's check.  RK4 is one engine, whose step
-maps serve operators and vectors alike; one drift test checks either route.
+other: a fixed-step RK4 propagator for any world line, and the exact
+transport a line owns where it has a closed form: the identity on inertial
+lines, two commuting-plane rotation exponentials on circular ones.  Path
+transport with no step given returns the exact states; RK4 runs wherever
+a step is given and on every other line, and is the exact route's check.
+RK4 is one engine, whose step maps serve operators and vectors alike; one
+drift test checks either route.
 Restricting a closed-loop transport operator to the space vectors of the
 (equal) endpoint velocity yields the Thomas rotation.
 """
@@ -30,8 +31,6 @@ from .minkowski import (
     FourVector,
     LorentzMap,
     _carry_error,
-    _elliptic_exp,
-    _elliptic_rows,
     _form_error,
     _mdot,
     _orthogonal,
@@ -211,10 +210,10 @@ def transport_numeric(
     """Transport ``z0`` from proper time ``s1`` to ``s2``.
 
     ``z0`` must be orthogonal to the velocity at ``s1``.  The route is that
-    of :func:`transport_path`: with no step, a circular line gets the exact
-    transport; otherwise fixed-step RK4 runs at ``step``, or at the line's
-    ``default_step`` (one exact step on inertial lines), and its global
-    error is fourth order in the step.
+    of :func:`transport_path`: with no step, an inertial or circular line
+    gets the exact transport; otherwise fixed-step RK4 runs at ``step``, or
+    at the line's ``default_step``, and its global error is fourth order in
+    the step.
     """
     return transport_path(line, z0, [s2], s_start=s1, step=step)[0]
 
@@ -229,15 +228,17 @@ def transport_path(
 ) -> list[GyroState]:
     """Transport ``z0`` (gyroscopic at ``s_start``) to each of ``s_points``.
 
-    The points must be ascending.  On a circular line with no step given,
-    the states are the exact transport of ``_circular_states``, one numpy
-    pass over all points.  Otherwise one sequential RK4 pass runs forward
-    from ``s_start`` through the later points and one backward through the
-    earlier ones, at ``step`` or the line's ``default_step``, z + D z for
-    each map D of ``_step_maps``.  Either way the step is resolved once for
-    the call, the span may hold at most ``MAX_STEPS`` steps of it, and every
-    state, each RK4 step's or each point's, must keep its orthogonality to
-    the velocity and its magnitude within ``tol_drift`` (``DriftViolation``).
+    The points must be ascending.  With no step given, the line's own
+    exact states are returned where it has them (``WorldLine._exact_rows``):
+    z0 on an inertial line, the closed form in one numpy pass on a circular
+    one.  Otherwise one sequential RK4 pass runs forward from ``s_start``
+    through the later points and one backward through the earlier ones, at
+    ``step`` or the line's ``default_step``, z + D z for each map D of
+    ``_step_maps``.  Either way the step is resolved once for the call, the
+    span may hold at most ``MAX_STEPS`` steps of it, and every state, each
+    RK4 step's or each point's, must keep its orthogonality to the velocity
+    and its magnitude within ``tol_drift`` (a ``DriftViolation`` naming the
+    route).
     """
     ss = [_finite_time(s) for s in s_points]
     z, _ = _path_rows(line, z0, ss, _finite_time(s_start), step, tol_drift)
@@ -255,16 +256,15 @@ def _path_rows(line: WorldLine, z0: FourVector, ss: list, s_start: float,
     tol_drift = TOL.drift if tol_drift is None else tol_drift
     _require_gyroscopic(line._kinematics_arrays(s_start)[0], z0, f"at s = {s_start}")
     span = max(ss[-1], s_start) - min(ss[0], s_start) if ss else 0.0
-    exact = step is None and isinstance(line, CircularWorldLine)
+    exact = step is None
     step = _resolve_step(line, span, step)
     norm0 = z0.norm()
     # an overflow becomes the inf or NaN that the drift test rejects
     with np.errstate(all="ignore"):
-        if exact:
-            lam = line.lorentz_factor
-            z = _circular_states(line, z0.components, lam * s_start, [lam * s for s in ss])
+        z = line._exact_rows(z0.components, s_start, ss) if exact else None
+        if z is not None:
             kin = line._kinematics_block(ss)
-            _require_drift(ss, z, kin[:, 0], norm0, tol_drift, "exact circular transport")
+            _require_drift(ss, z, kin[:, 0], norm0, tol_drift, line._exact_route)
             return z, kin
         first_fwd = next((i for i, s in enumerate(ss) if s >= s_start), len(ss))
         passes = []
@@ -317,6 +317,11 @@ def _require_operator(kind: str, err, s1: float, s2: float, step: float) -> None
                              "which a smaller step does not lower, dominates")
 
 
+def _require_circular(line: WorldLine) -> None:
+    if not isinstance(line, CircularWorldLine):
+        raise ConstraintViolation("exact circular transport needs a circular world line")
+
+
 def circular_transport_generator(line: CircularWorldLine) -> LorentzMap:
     """Antisymmetric generator of the co-rotating factor of circular transport.
 
@@ -325,34 +330,8 @@ def circular_transport_generator(line: CircularWorldLine) -> LorentzMap:
     line's initial velocity and rotates the orthogonal plane at rate
     lorentz_factor * angular_rate.
     """
-    if not isinstance(line, CircularWorldLine):
-        raise ConstraintViolation("transport generator is defined for circular world lines")
-    lam2 = line.lorentz_factor ** 2
-    rate2 = line.angular_rate ** 2
-    # lam2 Om + (lam2 rate2) (u_c ^ q), as the LorentzMap operations form it, checked once
-    boost_part = np.array(_wedge(line.center_velocity.components.tolist(),
-                                 line.radius_vector.components.tolist()))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return LorentzMap(line.angular_velocity.matrix * lam2 + boost_part * (lam2 * rate2))
-
-
-def _circular_states(line: CircularWorldLine, z1: np.ndarray, t1: float, ts) -> np.ndarray:
-    """Exact transport of ``z1`` from center time ``t1`` to each of ``ts``, as [n, 4] rows.
-
-    z(t) = E_Om(t) E_A(t1 - t) E_Om(-t1) z1: the transport from 0 to t
-    (orbital exponential E_Om after the co-rotating one E_A of
-    ``circular_transport_generator``, at rate lorentz_factor * angular_rate)
-    composed with the inverse of the transport from 0 to t1.  The
-    exponentials of all points are built as one stack.  From t1 = 0 each
-    row is :func:`transport_circular_exact`'s product to rounding (the
-    tests pin the two within a few eps |z1|); that function keeps its own
-    single-point body, which is faster than a one-row stack.
-    """
-    om, rate = line.angular_velocity.matrix, line.angular_rate
-    w = _elliptic_exp(om, rate, -t1) @ z1
-    corotating = _elliptic_rows(circular_transport_generator(line).matrix,
-                                line.lorentz_factor * rate, [t1 - t for t in ts])
-    return (_elliptic_rows(om, rate, ts) @ (corotating @ w)[:, :, None])[:, :, 0]
+    _require_circular(line)
+    return LorentzMap(line._corotating)
 
 
 def transport_circular_exact(
@@ -364,13 +343,9 @@ def transport_circular_exact(
     factor lorentz_factor faster than proper time; numeric transport APIs
     take proper time instead.
     """
+    _require_circular(line)
     _require_gyroscopic(line.initial_velocity.components.tolist(), z0, "at s = 0")
-    t = _finite_time(t, "center time")
-    gen = circular_transport_generator(line)
-    spin_rate = line.lorentz_factor * line.angular_rate
-    orbital = _elliptic_exp(line.angular_velocity.matrix, line.angular_rate, t)
-    corotating = _elliptic_exp(gen.matrix, spin_rate, -t)
-    return FourVector(orbital @ (corotating @ z0.components))
+    return FourVector(line._transport(z0.components, _finite_time(t, "center time")))
 
 
 class ThomasAngle(NamedTuple):
@@ -407,10 +382,8 @@ def thomas_rotation_circular(line: CircularWorldLine) -> SpatialRotation:
     the full-period transport operator is the co-rotating exponential
     alone, a rotation of the space vectors of the initial velocity.
     """
-    gen = circular_transport_generator(line)
-    spin_rate = line.lorentz_factor * line.angular_rate
-    m = _elliptic_exp(gen.matrix, spin_rate, -line.center_period)
-    return SpatialRotation(m, line.initial_velocity)
+    _require_circular(line)
+    return SpatialRotation(line._exp(-line.center_period, corotating=True), line.initial_velocity)
 
 
 def thomas_rotation_general(

@@ -24,9 +24,11 @@ from .minkowski import (
     FourVector,
     LorentzMap,
     _carry_error,
+    _elliptic_of,
     _mdot,
     _orthogonal,
     _rows,
+    _wedge,
     antisymmetric_magnitude,
     lorentz_dot,
     wedge,
@@ -83,6 +85,12 @@ class WorldLine(abc.ABC):
         return np.array([self._kinematics_arrays(s) for s in np.asarray(ss, dtype=float).tolist()],
                         dtype=float).reshape(-1, 2, 4)
 
+    def _exact_rows(self, z1: np.ndarray, s1: float, ss) -> np.ndarray | None:
+        # the exact transport of the components z1 from proper time s1 to each of the floats
+        # ss as [n, 4] rows, or None: path transport with no step takes these rows in place
+        # of RK4, and its drift messages name them by the line's _exact_route
+        return None
+
     def _frame_clock(self, u: AbsoluteVelocity):
         """(forward, slope) in floats: the time frame ``u`` assigns to the point at
         proper time s (zero at s = 0) and its rate -u.velocity(s).  Generic:
@@ -102,6 +110,7 @@ class InertialWorldLine(WorldLine):
 
     #: zero acceleration makes every RK4 stage zero, so one step per segment is exact
     default_step = math.inf
+    _exact_route = "exact inertial transport"
 
     def __init__(self, velocity: AbsoluteVelocity, origin: FourVector = ZERO):
         self._velocity = velocity
@@ -121,6 +130,10 @@ class InertialWorldLine(WorldLine):
 
     def _kinematics_arrays(self, s: float):
         return self._kinematics
+
+    def _exact_rows(self, z1, s1, ss):
+        # zero acceleration: transport is the identity, z1 at every point
+        return np.tile(z1, (len(ss), 1))
 
     def _frame_clock(self, u: AbsoluteVelocity):
         # t = (-u.v) s
@@ -218,6 +231,11 @@ class CircularWorldLine(WorldLine):
                                     (-lam * rate * q).tolist()))
         self._acc_terms = tuple(zip((-(lam * rate) ** 2 * q).tolist(),
                                     (-(lam ** 2) * rate * omq).tolist()))
+        # the exact transport's co-rotating generator A = lam^2 Om + lam^2 rate^2 (u_c ^ q),
+        # which kills the initial velocity, in the order of the LorentzMap operations
+        lam2 = lam ** 2
+        boost_part = np.array(_wedge(uc.tolist(), q.tolist()))
+        self._corotating = om * lam2 + boost_part * (lam2 * rate ** 2)
 
     @classmethod
     def from_plane(
@@ -251,12 +269,9 @@ class CircularWorldLine(WorldLine):
         generator = float(angular_rate) * wedge(p2, p1)
         return cls(uc, generator, float(radius) * p1, origin)
 
-    def _phase(self, s: float) -> float:
-        return self._spin * s
-
     def position(self, s: float) -> FourVector:
         s = _finite_time(s)
-        ph = self._phase(s)
+        ph = self._spin * s
         turn = self._q * math.cos(ph) + self._omq_over_rate * math.sin(ph)
         return FourVector(
             self.origin.components + (s * self.lorentz_factor) * self.center_velocity.components + turn
@@ -269,7 +284,7 @@ class CircularWorldLine(WorldLine):
         return FourVector(self._kinematics_arrays(_finite_time(s))[1])
 
     def _kinematics_arrays(self, s: float):
-        ph = self._phase(s)
+        ph = self._spin * s
         return self._kinematics_of(math.cos(ph), math.sin(ph))
 
     def _kinematics_of(self, c, si):
@@ -290,6 +305,29 @@ class CircularWorldLine(WorldLine):
             return super()._kinematics_block(ss)  # a subclass's own scalar kinematics
         phases = self._spin * np.asarray(ss, dtype=float)
         return _rows(self._kinematics_of(np.cos(phases), np.sin(phases)))
+
+    _exact_route = "exact circular transport"
+
+    def _exp(self, t, corotating: bool = False):
+        # exp(t m) = I + (sin(w t) / w) m + ((1 - cos(w t)) / w^2) m^2 for m = Om at w = rate,
+        # or m = A at w = lam rate, on numpy's sin and cos (libm's bits, a test guards it);
+        # for a float t, or an [n, 1, 1] array of center times for an [n, 4, 4] stack
+        m, w = ((self._corotating, self._spin) if corotating
+                else (self.angular_velocity.matrix, self.angular_rate))
+        ph = w * t
+        return _elliptic_of(m, w, np.sin(ph), np.cos(ph))
+
+    def _transport(self, z, t, t1=0.0):
+        # exact transport of the components z from center time t1 to t, E_Om(t) E_A(t1 - t)
+        # E_Om(-t1) z in the factors of _exp, for a float t or [n, 1, 1] times ([n, 4] rows)
+        if t1:
+            z = self._exp(-t1) @ z
+        return (self._exp(t) @ (self._exp(t1 - t, corotating=True) @ z)[..., None])[..., 0]
+
+    def _exact_rows(self, z1, s1, ss):
+        # _transport at the center times lorentz_factor * s
+        lam = self.lorentz_factor
+        return self._transport(z1, lam * np.asarray(ss, dtype=float)[:, None, None], lam * s1)
 
     def _frame_clock(self, u: AbsoluteVelocity):
         # t(s) = -u.(x(s) - x(0)) = A s + B (cos(phase) - 1) + C sin(phase), with A = lam (-u.u_c),

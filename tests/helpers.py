@@ -112,9 +112,9 @@ class HyperbolicLine(WorldLine):
 
     Its velocity stays in the (e0, e1) plane, so Fermi-Walker transport from
     s1 to s2 is the boost from u(s1) to u(s2): an exact oracle for the
-    numeric transport.  Kinematics are closed form, on floats.  Keep
-    |a s| <= 3: from about a s = 4.5 (gamma about 47) the velocity's square
-    misses -1 by more than ``TOL.constraint``.
+    numeric transport.  Kinematics and the frame clock are closed form, on
+    floats.  Keep |a s| <= 3: from about a s = 4.5 (gamma about 47) the
+    velocity's square misses -1 by more than ``TOL.constraint``.
     """
 
     default_step = 1e-3
@@ -139,6 +139,21 @@ class HyperbolicLine(WorldLine):
     def _kinematics_arrays(self, s):
         ch, sh = self._hyperbolic(s)
         return (ch, sh, 0.0, 0.0), (self.a * sh, self.a * ch, 0.0, 0.0)
+
+    def _frame_clock(self, u):
+        # t(s) = -u.(x(s) - x(0)) = (u0 sinh(a s) - u1 (cosh(a s) - 1)) / a, with slope
+        # -u.v(s) = u0 cosh(a s) - u1 sinh(a s), in floats
+        u0, u1 = u.components.tolist()[:2]
+
+        def forward(s):
+            ch, sh = self._hyperbolic(s)
+            return (u0 * sh - u1 * (ch - 1.0)) / self.a
+
+        def slope(s):
+            ch, sh = self._hyperbolic(s)
+            return u0 * ch - u1 * sh
+
+        return forward, slope
 
 
 class LoopLine(WorldLine):

@@ -443,6 +443,24 @@ class TestStepAndTolerance:
         assert len(err) == 1 and err[0].startswith("error code=4 kind=drift")
         assert "|z| drift = nan" in err[0]
 
+    @pytest.mark.parametrize("worldline, message", [
+        ("{type: inertial, velocity: [0.5, 0.3, 0.1]}",
+         "transport drift at s = 0.0: velocity.z = 2.7755575615628914e-17, |z| drift = 0.0 "
+         "(exact inertial transport)"),
+        ("{type: circular, omega: 0.6, rho: 1.0}",
+         "transport drift at s = 1.0: velocity.z = 1.1102230246251565e-16, "
+         "|z| drift = 2.220446049250313e-16 (exact circular transport)"),
+    ], ids=["inertial", "circular"])
+    def test_tolerance_below_rounding_names_the_exact_route(self, worldline, message, tmp_path,
+                                                            capsys):
+        # with no step both lines take their exact route: a drift there is the tolerance's,
+        # not a step's, and only the circular line's message says circular
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(f"kind: transport\nworldline: {worldline}\ngyro: [0.3, 1.0, 0.7]\n"
+                            "s_min: 0.0\ns_max: 10.0\nn_points: 11\n")
+        assert main(["run", str(scenario), "--out", str(tmp_path), "--tol", "1e-17"]) == 4
+        assert capsys.readouterr().err == f'error code=4 kind=drift message="{message}"\n'
+
     @pytest.mark.parametrize(
         "flags,field",
         [

@@ -36,8 +36,8 @@ from relkin import (
     wedge,
 )
 
-from relkin.transport import (_BLOCK, MAX_STEPS, _circular_states, _generators, _reduce_angle,
-                              _rk4_operator, _schedule)
+from relkin.transport import (_BLOCK, MAX_STEPS, _generators, _reduce_angle, _rk4_operator,
+                              _schedule)
 from relkin.worldlines import _STEP_FIT, _STEP_TARGET
 
 from helpers import (DelegatingLine, HyperbolicLine, LoopLine, _steps, max_abs,
@@ -324,7 +324,7 @@ class TestPathBitIdentity:
         line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.3, -0.2, 0.5]))
         z0 = random_spacelike_unit(np.random.default_rng(3110), line.velocity(0.0))
         points = [-2.0, -0.5, 0.7, 3.0]
-        for step in (0.3, None):  # None: the inertial default, one step per leg
+        for step in (0.3, None):  # None: the exact route; the reference takes one step per leg
             got = [(st.s, st.z.components.tobytes())
                    for st in transport_path(line, z0, points, s_start=0.2, step=step)]
             assert got == map_reference_path(line, z0, points, s_start=0.2, step=step)
@@ -401,7 +401,7 @@ class TestLineDefaultStep:
         assert [s.z.components.tobytes() for s in default] == \
             [s.z.components.tobytes() for s in explicit]
         lam = line.lorentz_factor
-        exact = _circular_states(line, z0.components, 0.0, [lam * s for s in points])
+        exact = line._transport(z0.components, lam * points[:, None, None])
         assert [s.z.components.tobytes() for s in transport_path(line, z0, points)] == \
             [z.tobytes() for z in exact]
 
@@ -416,7 +416,7 @@ class TestLineDefaultStep:
             [s.z.components.tolist() for s in explicit]
         assert all(s.z.components.tolist() == z0.components.tolist() for s in default)
 
-    def test_inertial_default_takes_one_step_per_segment(self, monkeypatch):
+    def test_inertial_default_is_exact_with_one_kinematics_call_per_point(self, monkeypatch):
         calls = []
         kinematics = InertialWorldLine._kinematics_arrays
 
@@ -429,8 +429,8 @@ class TestLineDefaultStep:
         z0 = project_spatial(line.velocity(0.0), E2)
         n = 500
         transport_path(line, z0, np.linspace(0.0, 1e6, n))
-        # the gyroscopic check, then one RK4 step per segment: start, mid and end
-        assert len(calls) <= 3 * n + 1
+        # the gyroscopic check, then the velocity of each point for the exact rows' drift test
+        assert len(calls) <= n + 1
 
     def test_transport_reads_the_step_from_the_line(self):
         # a line without a closed form: its class step of 1e-3 passes, an instance's 0.5 drifts
@@ -534,6 +534,39 @@ class TestExactRoute:
         assert [st.z.components.tobytes() for st in delegated] == \
             [st.z.components.tobytes() for st in rk4]
         assert exact != [st.z.components.tobytes() for st in rk4]
+
+
+class TestExactRowsHook:
+    """``WorldLine._exact_rows`` is the route of ``transport_path`` with no step: its
+    states are the limit of RK4, and the inertial line's are ``z0`` itself."""
+
+    @staticmethod
+    def case(kind):
+        # the line, the span that scales its points, and the RK4 error coefficient c of
+        # one span (TestExactRoute's: _STEP_FIT v^2 gamma^6 on a circular line, 0 inertial)
+        if kind == "inertial":
+            return InertialWorldLine(AbsoluteVelocity.from_3velocity([0.5, 0.3, 0.1])), 10.0, 0.0
+        line = CircularWorldLine.from_plane(0.6 / 1.3, 1.3, center_velocity=EXACT_CENTRES[kind])
+        return line, line.proper_period, _STEP_FIT * 0.6**2 * line.lorentz_factor**6
+
+    @pytest.mark.parametrize("kind", ["inertial", "rest", "moving"])
+    def test_rows_are_the_limit_of_rk4(self, kind):
+        # from 0.37 of the span to points on both sides, 1.5 spans in all: RK4 at step
+        # h = span / n is within 1.5 (c / n^4 + n eps) |u0|^2 |z0| of the rows
+        line, span, c = self.case(kind)
+        s_start = 0.37 * span
+        z0 = random_spacelike_unit(np.random.default_rng(3310), line.velocity(s_start)) * 1.5
+        points = span * np.array([-0.3, -0.05, 0.37, 0.6, 1.2])
+        rows = line._exact_rows(z0.components, s_start, points.tolist())
+        assert [st.z.components.tobytes() for st in transport_path(line, z0, points, s_start)] == \
+            [row.tobytes() for row in rows]
+        n = 2000
+        rk4 = transport_path(line, z0, points, s_start, step=span / n)
+        scale = max_abs(line.velocity(0.0).components) ** 2 * max_abs(z0.components)
+        err = max_abs(np.array([st.z.components for st in rk4]) - rows)
+        assert err <= 1.5 * (c / n**4 + n * np.finfo(float).eps) * scale
+        if kind == "inertial":
+            assert {row.tobytes() for row in rows} == {z0.components.tobytes()}
 
 
 class TestDefaultStepCalibration:

@@ -478,12 +478,32 @@ class TestFrameClock:
     def test_generic_clock_inverts_past_the_velocity_check(self, s):
         # from rest t = sinh(s); Newton's guess s = t has gamma = cosh(t), 212 and
         # 11 000, where velocity(t) fails its square check but the slope reads the
-        # unchecked kinematics
+        # unchecked kinematics; the base class's clock, as the line has its own
         line = HyperbolicLine(1.0)
         with pytest.raises(ConstraintViolation, match="must square to -1"):
             line.velocity(math.sinh(s))
+        clock = WorldLine._frame_clock(line, AbsoluteVelocity.rest())
+        assert abs(worldlines._invert_increasing(clock, math.sinh(s)) - s) < 1e-12
         got = proper_time_of_frame_time(AbsoluteVelocity.rest(), line, math.sinh(s))
         assert abs(got - s) < 1e-12
+
+    def test_hyperbolic_closed_form_clock(self):
+        # the helper line's clock in floats against the generic one on position, within
+        # 4 eps of the terms' scale |u| cosh(a s) over |a s| <= 3; the inversion reads it
+        # and round-trips within its 1e-12 residual, as the slope is at least 1
+        rng = np.random.default_rng(74)
+        eps = np.finfo(float).eps
+        for a in (0.7, 1.3, 2.9):
+            line = HyperbolicLine(a)
+            for _ in range(10):
+                u = random_velocity(rng, 0.9)
+                forward, slope = line._frame_clock(u)
+                ref_forward, ref_slope = WorldLine._frame_clock(line, u)
+                for s in rng.uniform(-3.0, 3.0, size=10) / a:
+                    scale = 4.0 * eps * max_abs(u.components) * math.cosh(a * s)
+                    assert abs(forward(s) - ref_forward(s)) <= scale / a
+                    assert abs(slope(s) - ref_slope(s)) <= scale
+                    assert abs(proper_time_of_frame_time(u, line, forward(s)) - s) < 1e-12
 
     def test_forward_and_inverse_read_one_clock(self):
         rng = np.random.default_rng(73)
