@@ -9,8 +9,9 @@ settings remain only where a caller sets them: ``tol_drift`` of
 ``tol`` of ``SpatialRotation`` (three callers use three values), and the
 ``tol`` of the predicates ``LorentzMap.is_lorentz`` and ``is_antisymmetric``,
 whose tolerance is the question they answer; privately, ``_orthogonal``
-(``constraint``, or ``drift`` when observing) and the RK4 vector loop.  The
-form, carry and orthogonality residuals are each one kernel in ``minkowski``.
+(``constraint``, or ``drift`` when observing) and the drift check that
+``transport._path_rows`` hands to ``_rk4``.  The form, carry and orthogonality
+residuals are each one kernel in ``minkowski``.
 The package never assigns to ``TOL``: the CLI passes ``--tol`` down as an
 argument, so concurrent runs with different tolerances do not interfere.
 """

@@ -8,6 +8,7 @@ from relkin import (
     E2,
     E3,
     AbsoluteVelocity,
+    CircularWorldLine,
     FourVector,
     WorldLine,
     lorentz_dot,
@@ -105,6 +106,15 @@ class DelegatingLine(WorldLine):
 
     def acceleration(self, s):
         return self.line.acceleration(s)
+
+
+class TimedCircular(CircularWorldLine):
+    """A circular line that overrides ``_kinematics_arrays`` only to delegate it, as a
+    timing wrapper does: its ``_kinematics_block`` falls back to the per-point scalar
+    kinematics, and every route must still give the base line's bytes."""
+
+    def _kinematics_arrays(self, s):
+        return CircularWorldLine._kinematics_arrays(self, s)
 
 
 class HyperbolicLine(WorldLine):

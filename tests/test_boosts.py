@@ -365,6 +365,11 @@ class TestRotationAngleAxis:
         with pytest.raises(ConstraintViolation):
             SpatialRotation(explicit_x_boost(0.6), U_REST)
 
+    def test_reflection_is_rejected(self):
+        # orthogonal on the space vectors of u, but it reverses e3
+        with pytest.raises(ConstraintViolation, match="determinant \\+1"):
+            SpatialRotation(np.diag([1.0, 1.0, 1.0, -1.0]), U_REST)
+
     def test_finite_matrix_with_nan_image_of_u_is_rejected(self):
         # m @ u overflows to inf - inf = NaN; before, the NaN restriction was
         # accepted and rotation_angle_axis raised an untyped IndexError

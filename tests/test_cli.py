@@ -18,14 +18,18 @@ from relkin import (
     InertialWorldLine,
     Tolerances,
     boost,
+    circular_thomas_angle,
     lorentz_dot,
+    rotation_angle_axis,
+    thomas_rotation_circular,
+    thomas_rotation_general,
     transport_path,
 )
 from relkin import cli
 from relkin.cli import MAX_DEPTH, MAX_POINTS, emit_csv, main, run_scenario, selftest
 from relkin.transport import MAX_STEPS
 
-from helpers import parse_report, read_csv
+from helpers import TimedCircular, parse_report, read_csv
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -79,6 +83,36 @@ class TestGoldenRegeneration:
         first = run_scenario(SCENARIOS / "precess_center.yaml", out_dir=tmp_path / "a")
         second = run_scenario(SCENARIOS / "precess_center.yaml", out_dir=tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_circular_thomas_from_public_calls_on_a_timed_subclass(self, tmp_path):
+        # a traced replay rebuilds this report one public call at a time, on a circular
+        # subclass whose kinematics blocks stack its scalar override: those calls must give
+        # run_scenario's bytes, and so the golden's
+        cfg = yaml.safe_load((SCENARIOS / "circular_thomas.yaml").read_text())
+        line = TimedCircular.from_plane(float(cfg["omega"]), float(cfg["rho"]))
+        exact = circular_thomas_angle(line)
+        operator_angle, axis = rotation_angle_axis(thomas_rotation_circular(line))
+        numeric = thomas_rotation_general(line, 0.0, line.proper_period, step=cfg.get("step"))
+        numeric_angle, _ = rotation_angle_axis(numeric)
+
+        def fmt(x):
+            return format(float(x) + 0.0, ".16e")
+
+        rebuilt = "".join(f"{key} = {value}\n" for key, value in [
+            ("kind", "circular-thomas"),
+            ("orbital_speed", fmt(line.orbital_speed)),
+            ("time_dilation", fmt(line.lorentz_factor)),
+            ("closed_form_angle_rad", fmt(exact.reduced)),
+            ("closed_form_angle_unreduced_rad", fmt(exact.unreduced)),
+            ("winding", fmt(exact.winding)),
+            ("operator_angle_rad", fmt(operator_angle)),
+            ("numeric_angle_rad", fmt(numeric_angle)),
+            ("closed_minus_numeric_rad", fmt(exact.reduced - numeric_angle)),
+            ("axis", " ".join(fmt(c) for c in axis.components)),
+        ]).encode()
+        out = run_scenario(SCENARIOS / "circular_thomas.yaml", out_dir=tmp_path)
+        assert out.read_bytes() == rebuilt
+        assert rebuilt == (GOLDEN / "circular_thomas.report.txt").read_bytes()
 
 
 class TestReports:
@@ -246,11 +280,53 @@ class TestCliProcess:
         assert out.exists()
 
 
+class TestOutputErrors:
+    """An output that cannot be written is one io error line (exit 1)."""
+
+    def test_out_naming_a_regular_file_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(SCENARIOS / "boost_perpendicular.yaml"), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error code=1 kind=io ")
+        assert "File exists" in err[0]
+
+    @pytest.mark.parametrize("scenario,output,writer", [
+        ("circular_thomas.yaml", "circular_thomas.report.txt", "report"),
+        ("transport_inertial.yaml", "transport_inertial.csv", "CSV"),
+    ])
+    def test_output_path_that_is_a_directory_exits_1(self, scenario, output, writer, tmp_path,
+                                                     capsys):
+        (tmp_path / output).mkdir()
+        assert main(["run", str(SCENARIOS / scenario), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f'error code=1 kind=io message="cannot write {writer} file '
+                                 f'{tmp_path / output}: ')
+
+
 KIND_LIST = "['boost-compose', 'circular-thomas', 'precess', 'transport']"
 
 
 class TestScenarioParse:
     """Every failure to read or parse a scenario file is one parse error line (exit 2)."""
+
+    def test_list_document_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "list.yaml"
+        scenario.write_text("- kind\n- boost-compose\n")
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'error code=2 kind=parse message="scenario file must contain a mapping"']
+
+    def test_directory_as_scenario_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "dir.yaml"
+        scenario.mkdir()
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f'error code=2 kind=parse message="cannot read scenario file {scenario}: ')
 
     @pytest.mark.parametrize("depth", [2000, 100_000])
     @pytest.mark.parametrize("style", ["flow", "block"])
@@ -764,12 +840,13 @@ def test_selftest_catches_a_coarse_default_step():
 
 def test_selftest_checks_the_operator_rk4():
     # an operator RK4 at three times the default step is 3^4 times further off the
-    # exact Thomas rotation; vector paths apply the shared step maps without going
-    # through _rk4_operator, so only the operator check fails
+    # exact Thomas rotation; vector paths run the same RK4 without going through
+    # transport_operator_numeric, so only the operator check fails
     broken = subprocess.run(
         [sys.executable, "-O", "-c",
-         "import relkin.cli as c, relkin.transport as t; rk4 = t._rk4_operator; "
-         "t._rk4_operator = lambda line, m, s1, s2, h: rk4(line, m, s1, s2, 3.0 * h); "
+         "import relkin.cli as c, relkin.transport as t; op = t.transport_operator_numeric; "
+         "t.transport_operator_numeric = lambda line, s1, s2, step=None: "
+         "op(line, s1, s2, 3.0 * (step or line.default_step)); "
          "raise SystemExit(c.selftest())"],
         capture_output=True, text=True,
     )

@@ -25,6 +25,7 @@ from relkin import (
     fermi_walker_derivative,
     lorentz_dot,
     antisymmetric_magnitude,
+    precession_series,
     project_spatial,
     rotation_angle_axis,
     thomas_rotation_circular,
@@ -36,11 +37,10 @@ from relkin import (
     wedge,
 )
 
-from relkin.transport import (_BLOCK, MAX_STEPS, _generators, _reduce_angle, _rk4_operator,
-                              _schedule)
+from relkin.transport import _BLOCK, MAX_STEPS, _generators, _reduce_angle, _rk4, _schedule
 from relkin.worldlines import _STEP_FIT, _STEP_TARGET
 
-from helpers import (DelegatingLine, HyperbolicLine, LoopLine, _steps, max_abs,
+from helpers import (DelegatingLine, HyperbolicLine, LoopLine, TimedCircular, _steps, max_abs,
                      random_spacelike_unit, random_velocity)
 
 
@@ -98,6 +98,10 @@ class TestTransportNumeric:
         line = standard_line()
         with pytest.raises(ConstraintViolation):
             transport_numeric(line, E2, 0.0, 1.0, step=0.01)  # u0 . e2 != 0
+
+    def test_path_points_must_ascend(self):
+        with pytest.raises(ConstraintViolation, match="^proper-time points must be ascending$"):
+            transport_path(standard_line(), E3, [1.0, 0.5])
 
     def test_matches_exact_over_one_period(self):
         line = standard_line()
@@ -520,10 +524,6 @@ class TestExactRoute:
     def test_route_is_chosen_by_the_line(self):
         # a CircularWorldLine subclass with its own scalar kinematics takes the exact route,
         # a line that only delegates to one runs RK4 at the default step
-        class TimedCircular(CircularWorldLine):
-            def _kinematics_arrays(self, s):
-                return CircularWorldLine._kinematics_arrays(self, s)
-
         line, z0, _ = self.orbit(0.9, "moving")
         points = np.linspace(-0.2, 0.3, 6) * line.proper_period
         exact = [st.z.components.tobytes() for st in transport_path(line, z0, points)]
@@ -534,6 +534,28 @@ class TestExactRoute:
         assert [st.z.components.tobytes() for st in delegated] == \
             [st.z.components.tobytes() for st in rk4]
         assert exact != [st.z.components.tobytes() for st in rk4]
+
+    def test_rk4_routes_of_a_timed_subclass_keep_the_bytes(self):
+        # the subclass's kinematics blocks are stacked from the scalar kinematics, one point
+        # at a time: the operator, an explicit-step path and an explicit-step series read the
+        # same bits through them as through the base line's vectorised block
+        line, z0, _ = self.orbit(0.9, "moving")
+        sub = TimedCircular(line.center_velocity, line.angular_velocity, line.radius_vector)
+        period, h = line.proper_period, line.proper_period / 2000
+        assert thomas_rotation_general(sub, 0.0, period).matrix.tobytes() == \
+            thomas_rotation_general(line, 0.0, period).matrix.tobytes()
+        points = np.linspace(-0.2, 0.3, 61) * period
+        assert [st.z.components.tobytes() for st in transport_path(sub, z0, points, step=h)] == \
+            [st.z.components.tobytes() for st in transport_path(line, z0, points, step=h)]
+        u = line.center_velocity
+        grid = np.linspace(0.0, line.center_period / 8, 40)
+
+        def series(wl):
+            return [(s.t, s.z.components.tobytes(), s.rate.matrix.tobytes(),
+                     None if s.z_dot is None else s.z_dot.components.tobytes())
+                    for s in precession_series(u, wl, z0, grid, step=h)]
+
+        assert series(sub) == series(line)
 
 
 class TestExactRowsHook:
@@ -588,7 +610,7 @@ class TestDefaultStepCalibration:
         line = CircularWorldLine.from_plane(
             speed, 1.0, center_velocity=TestDefaultStepCalibration.CENTRES[centre])
         period = line.proper_period
-        m = _rk4_operator(line, np.eye(4), 0.0, period, step_factor * line.default_step)
+        m = _rk4(line, np.eye(4), 0.0, [period], step_factor * line.default_step)[0][0]
         err = max_abs(m - thomas_rotation_circular(line).matrix)
         return err, max_abs(line.initial_velocity.components) ** 2, period / line.default_step
 
@@ -757,7 +779,7 @@ class TestBlockOperator:
                 s2 = s1 + direction * (n_full + partial) * self.STEP
                 assert len(list(_steps(s1, s2, self.STEP))) == n_full + (partial > 0.0)
                 expected = per_step_map_operator(line, np.eye(4), s1, s2, self.STEP).tobytes()
-                assert _rk4_operator(line, np.eye(4), s1, s2, self.STEP).tobytes() == expected
+                assert _rk4(line, np.eye(4), s1, [s2], self.STEP)[0][0].tobytes() == expected
                 got = transport_operator_numeric(line, s1, s2, step=self.STEP)
                 assert got.matrix.tobytes() == expected
 
@@ -771,7 +793,7 @@ class TestBlockOperator:
 
     def test_caller_matrix_is_left_alone(self):
         m = np.eye(4)
-        out = _rk4_operator(standard_line(), m, 0.0, 0.5, 0.01)
+        out = _rk4(standard_line(), m, 0.0, [0.5], 0.01)[0][0]
         assert out is not m
         assert np.array_equal(m, np.eye(4))
 
@@ -1109,7 +1131,7 @@ class TestStepMapsMatchTheStages:
     def assert_within_rounding(line, s1, s2, scale):
         step = line.default_step
         n = sum(1 for _ in _steps(s1, s2, step))
-        got = _rk4_operator(line, np.eye(4), s1, s2, step)
+        got = _rk4(line, np.eye(4), s1, [s2], step)[0][0]
         stages = per_step_rk4_operator(line, np.eye(4), s1, s2, step)
         assert max_abs(got - stages) <= n * np.finfo(float).eps * scale
 
@@ -1308,6 +1330,21 @@ class TestThomasRotationCircular:
         line = standard_line(speed, 1.0)
         got, _ = rotation_angle_axis(thomas_rotation_circular(line))
         assert abs(got - circular_thomas_angle(line).reduced) < 1e-9
+
+    @pytest.mark.parametrize("call", [
+        lambda line: transport_circular_exact(line, E3, 1.0),
+        thomas_rotation_circular,
+        circular_transport_generator,
+    ])
+    def test_exact_circular_routes_need_a_circular_line(self, call):
+        line = InertialWorldLine(AbsoluteVelocity.from_3velocity([0.3, 0.0, 0.0]))
+        with pytest.raises(ConstraintViolation,
+                           match="^exact circular transport needs a circular world line$"):
+            call(line)
+
+    def test_reduced_angle_of_minus_pi_is_pi(self):
+        # the reduced angle lies in (-pi, pi]: remainder's -pi is moved to +pi
+        assert _reduce_angle(-math.pi) == math.pi
 
     def test_angle_bookkeeping(self):
         line = standard_line()

@@ -84,6 +84,10 @@ class TestConstruction:
         with pytest.raises(ConstraintViolation):
             CircularWorldLine.from_plane(0.5, 2.0 - 1e-12)
 
+    def test_rejects_non_orthogonal_plane_axes(self):
+        with pytest.raises(ConstraintViolation, match="^plane axes must be orthogonal$"):
+            CircularWorldLine.from_plane(0.6, 1.0, plane=(E1, FourVector([0.0, 0.6, 0.8, 0.0])))
+
     def test_rejects_timelike_radius(self):
         with pytest.raises(ConstraintViolation):
             CircularWorldLine(AbsoluteVelocity.rest(), 0.6 * wedge(E2, E1),
